@@ -1,5 +1,5 @@
 // spmv-serve runs the SpMV serving subsystem as an HTTP service: a matrix
-// registry (tuned once per matrix, operators cached), an adaptive batcher
+// registry (operators compiled once, re-tuned online), an adaptive batcher
 // that coalesces concurrent single-vector requests into fused multi-RHS
 // sweeps, and a worker pool sharded over nonzero-balanced row partitions.
 //
@@ -62,7 +62,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 8, "widest fused sweep (1 disables batching)")
 	window := flag.Duration("batch-window", 200*time.Microsecond, "batch linger window")
 	adaptive := flag.Bool("adaptive", true, "skip the linger for lone requests when traffic is sparse")
-	deterministic := flag.Bool("deterministic", true, "topology-invariant numerics: identical bits regardless of batch width or shard count")
 	autoSymmetric := flag.Bool("auto-symmetric", true, "serve numerically symmetric matrices from upper-triangle storage (half the matrix stream); per-request \"symmetric\" overrides")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap, 413 beyond it (0 = 256 MiB); raise on members sharding very large matrices")
 	maxSweeps := flag.Int("max-concurrent-sweeps", 0, "concurrent sweep limit (0 = workers)")
@@ -107,7 +106,6 @@ func main() {
 	cfg.MaxBatch = *maxBatch
 	cfg.BatchWindow = *window
 	cfg.Adaptive = *adaptive
-	cfg.Deterministic = *deterministic
 	cfg.AutoSymmetric = *autoSymmetric
 	cfg.MaxBodyBytes = *maxBodyBytes
 	cfg.MaxConcurrentSweeps = *maxSweeps
@@ -191,7 +189,6 @@ func main() {
 		slog.Int("max_batch", cfg.MaxBatch),
 		slog.Duration("batch_window", cfg.BatchWindow),
 		slog.Bool("adaptive", cfg.Adaptive),
-		slog.Bool("deterministic", cfg.Deterministic),
 		slog.Duration("retune_interval", cfg.RetuneInterval),
 		slog.Int("obs_sample", cfg.ObsSample),
 		slog.Bool("sched", cfg.Sched.Active()),

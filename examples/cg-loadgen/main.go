@@ -40,7 +40,7 @@ func main() {
 	flag.Parse()
 	n := *side * *side
 
-	// Serving endpoint: deterministic mode, real HTTP on a loopback port.
+	// Serving endpoint: real HTTP on a loopback port.
 	cfg := server.DefaultConfig()
 	cfg.Threads = *threads
 	cfg.Workers = *threads

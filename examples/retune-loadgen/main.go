@@ -5,24 +5,25 @@
 // observed request mix and re-tunes when it drifts.
 //
 // The scenario: a matrix is registered while traffic is lone width-1
-// requests — the registration-time tune guesses a single-vector workload.
-// Then the workload shifts to wide bursts (width-16 fused sweeps, e.g. a
-// block-Krylov client or a traffic spike the batcher coalesces). The
-// background re-tuner notices the fused-width histogram drifting, re-runs
-// the tuner with workload-derived options off the hot path, shadow-
-// benchmarks the candidate on the captured request shapes, and promotes
-// it atomically — after which every fused sweep streams the workload-
-// tuned encoding (register-blocked / compact-index / symmetric) instead
-// of the plain CSR fallback, cutting the modeled matrix stream per sweep
-// (~1.5x on a register-blocked twin, ~2x when symmetry wins).
+// requests, and its fused sweeps stream the plain CSR32 the registration
+// compiled. Then the workload shifts to wide bursts (width-16 fused
+// sweeps, e.g. a block-Krylov client or a traffic spike the batcher
+// coalesces). The background re-tuner notices the fused-width histogram
+// drifting, re-runs the tuner with workload-derived options off the hot
+// path, shadow-benchmarks the candidate on the captured request shapes,
+// and promotes it atomically — after which every fused sweep streams the
+// candidate's 16-bit-index CSR (CSR16) through the wide kernels, cutting
+// the modeled matrix stream per sweep (~1.2x: 10 instead of 12 bytes per
+// nonzero) without changing a single response bit.
 //
-//	go run ./examples/retune-loadgen [-suite Dense] [-scale 0.05] [-burst 16] [-symmetrize]
+//	go run ./examples/retune-loadgen [-suite Dense] [-scale 0.05] [-burst 16]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -37,19 +38,9 @@ func main() {
 	burst := flag.Int("burst", 16, "concurrent clients per burst (the shifted workload's fused width)")
 	phase1 := flag.Int("phase1", 64, "lone width-1 requests before the shift")
 	rounds := flag.Int("rounds", 40, "max bursts to run while waiting for the promotion")
-	symmetrize := flag.Bool("symmetrize", true, "serve the symmetrized twin so the symmetric candidate competes too")
 	flag.Parse()
 
 	cfg := server.DefaultConfig()
-	// Full candidate family: with determinism off the re-tuner may change
-	// the fused summation order, so register-blocked wide kernels and the
-	// symmetric operator are all on the table. (Deterministic servers
-	// re-tune too, restricted to bit-identical CSR-family candidates.)
-	cfg.Deterministic = false
-	// The point of the demo: registration guesses, the workload decides.
-	// Auto-symmetric detection off means even a symmetric matrix starts
-	// on general storage until observed traffic justifies the switch.
-	cfg.AutoSymmetric = false
 	cfg.MaxBatch = *burst
 	cfg.BatchWindow = 2 * time.Millisecond
 	cfg.Adaptive = true
@@ -57,24 +48,16 @@ func main() {
 	cfg.RetuneMinRequests = 32
 	s := server.New(cfg)
 	defer s.Close()
-	c := s.Client()
 
 	m, err := spmv.GenerateSuite(*suite, *scale, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	name := *suite
-	if *symmetrize {
-		if m, err = spmv.Symmetrize(m); err != nil {
-			log.Fatal(err)
-		}
-		name += " (symmetrized)"
-	}
-	info, err := c.Register("m", name, m)
+	info, err := s.Register("m", *suite, m)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("registered %s: %dx%d, %d nnz, kernel %s\n", name, info.Rows, info.Cols, info.NNZ, info.Kernel)
+	fmt.Printf("registered %s: %dx%d, %d nnz, kernel %s\n", *suite, info.Rows, info.Cols, info.NNZ, info.Kernel)
 
 	xs := make([][]float64, *burst)
 	for g := range xs {
@@ -85,13 +68,18 @@ func main() {
 		}
 	}
 
-	// Phase 1: lone width-1 requests — the workload the tuner guessed.
+	// Phase 1: lone width-1 requests — the workload registration guessed.
+	var y0 []float64
 	for i := 0; i < *phase1; i++ {
-		if _, err := c.Mul("m", xs[i%len(xs)]); err != nil {
+		y, err := s.Mul("m", xs[i%len(xs)])
+		if err != nil {
 			log.Fatal(err)
 		}
+		if i == 0 {
+			y0 = y
+		}
 	}
-	rep, err := c.Tuning("m")
+	rep, err := s.Tuning("m")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,8 +92,8 @@ func main() {
 	fmt.Printf("phase 2: shifting to width-%d bursts...\n", *burst)
 	promoted := false
 	for r := 0; r < *rounds && !promoted; r++ {
-		oneBurst(c, xs)
-		if rep, err = c.Tuning("m"); err != nil {
+		oneBurst(s, xs)
+		if rep, err = s.Tuning("m"); err != nil {
 			log.Fatal(err)
 		}
 		promoted = rep.Generation > before.Generation
@@ -116,8 +104,8 @@ func main() {
 	if !promoted {
 		log.Fatalf("no promotion after %d bursts: %+v", *rounds, rep)
 	}
-	fmt.Printf("promoted at generation %d: kernel %s (wide=%v symmetric=%v), tuned for width %d\n",
-		rep.Generation, rep.Kernel, rep.Wide, rep.Symmetric, rep.TunedWidth)
+	fmt.Printf("promoted at generation %d: kernel %s (wide=%v), tuned for width %d\n",
+		rep.Generation, rep.Kernel, rep.Wide, rep.TunedWidth)
 	for _, ev := range rep.Events {
 		if ev.Decision == "promoted" {
 			fmt.Printf("  shadow benchmark on captured shapes: %.0f -> %.0f modeled B/request (%.2fx better)\n",
@@ -129,18 +117,29 @@ func main() {
 		float64(before.MatrixBytes)/1e6, float64(rep.MatrixBytes)/1e6,
 		float64(before.MatrixBytes)/float64(rep.MatrixBytes))
 
+	y, err := s.Mul("m", xs[0])
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(y0[i]) {
+			log.Fatalf("response bits changed across the promotion at y[%d]", i)
+		}
+	}
+	fmt.Println("  responses bitwise identical across the promotion")
+
 	// Phase 3: steady state on the promoted operator.
 	for r := 0; r < 20; r++ {
-		oneBurst(c, xs)
+		oneBurst(s, xs)
 	}
-	st := c.Stats()
+	st := s.Stats()
 	fmt.Printf("phase 3 (steady state): %d requests in %d sweeps (mean width %.1f), %.1f MB matrix stream saved by fusion, %d promotions / %d rejections\n",
 		st.Requests, st.Sweeps, st.MeanFusedWidth(), float64(st.SavedBytes)/1e6, st.RetunePromotions, st.RetuneRejections)
 }
 
 // oneBurst fires len(xs) concurrent requests from a common start so the
 // batcher fuses them into one wide sweep.
-func oneBurst(c *server.Client, xs [][]float64) {
+func oneBurst(s *server.Server, xs [][]float64) {
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(len(xs))
@@ -148,7 +147,7 @@ func oneBurst(c *server.Client, xs [][]float64) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			if _, err := c.Mul("m", xs[g]); err != nil {
+			if _, err := s.Mul("m", xs[g]); err != nil {
 				log.Fatal(err)
 			}
 		}(g)

@@ -1,4 +1,4 @@
-// serve-loadgen drives the in-process serving subsystem (server.Client)
+// serve-loadgen drives the in-process serving subsystem (*server.Server)
 // with concurrent single-vector Mul requests, once with the adaptive
 // batcher enabled and once without, and reports the throughput of each —
 // demonstrating that coalescing concurrent requests into fused multi-RHS
@@ -22,8 +22,7 @@ import (
 func run(name string, cfg server.Config, suite string, scale float64, clients, requests int) (reqPerSec float64) {
 	s := server.New(cfg)
 	defer s.Close()
-	c := s.Client()
-	info, err := c.RegisterSuite("m", suite, scale, 7)
+	info, err := s.RegisterSuite("m", suite, scale, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +43,7 @@ func run(name string, cfg server.Config, suite string, scale float64, clients, r
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < requests; i++ {
-				if _, err := c.Mul("m", xs[g]); err != nil {
+				if _, err := s.Mul("m", xs[g]); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -53,11 +52,11 @@ func run(name string, cfg server.Config, suite string, scale float64, clients, r
 	wg.Wait()
 	elapsed := time.Since(t0)
 
-	st := c.Stats()
+	st := s.Stats()
 	reqPerSec = float64(st.Requests) / elapsed.Seconds()
 	fmt.Printf("%-10s %8.0f req/s  %6d sweeps for %5d requests (mean width %.2f)  %7.1f MB matrix stream saved\n",
 		name, reqPerSec, st.Sweeps, st.Requests, st.MeanFusedWidth(), float64(st.SavedBytes)/1e6)
-	if lat := c.Latency(); lat != nil {
+	if lat := s.Latency(); lat != nil {
 		if h, ok := lat.Matrix["m"]; ok {
 			fmt.Printf("%-10s measured mul latency: p50 %.0fµs  p99 %.0fµs  (mean %.0fµs over %d requests)\n",
 				"", h.P50US, h.P99US, h.MeanUS, h.Count)

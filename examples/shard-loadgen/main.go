@@ -19,7 +19,7 @@
 // Sharding scales because the nonzero-balanced row bands split the matrix
 // stream ~K ways while each member still runs its own tuner, batcher and
 // fused sweeps. Results are bitwise identical across topologies (verified
-// on every run here; see Config.Deterministic).
+// on every run here; see the determinism contract on server.Config).
 //
 // The run ends with a skewed-member scenario: a 2-fast/1-slow fleet
 // (one member's transport delayed, standing in for a degraded node)

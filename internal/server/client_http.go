@@ -1,5 +1,5 @@
 // The unified client API: one interface over the serving subsystem that
-// both the in-process Client and the HTTP client implement, with request
+// both the in-process *Server and the HTTP client implement, with request
 // options (tenant, SLO class, deadline) carried as typed structs instead
 // of growing positional signatures. Code written against API runs
 // unchanged in-process (tests, embedded serving) and over the wire
@@ -19,7 +19,7 @@ import (
 )
 
 // API is the versioned request surface of the serving subsystem: the
-// options-struct methods shared by the in-process Client and HTTPClient.
+// options-struct methods shared by the in-process *Server and HTTPClient.
 // The deprecated positional signatures (Mul, Solve) are thin wrappers
 // over these and are not part of the interface.
 type API interface {
@@ -44,18 +44,18 @@ type API interface {
 	StatsReport() (StatsReport, error)
 }
 
-// The in-process Client returns StatsReport without an error; apiClient
-// adapts it so both transports satisfy API verbatim.
-type apiClient struct{ *Client }
+// *Server returns StatsReport without an error; apiServer adapts it so
+// both transports satisfy API verbatim.
+type apiServer struct{ *Server }
 
-func (a apiClient) StatsReport() (StatsReport, error) { return a.Client.StatsReport(), nil }
+func (a apiServer) StatsReport() (StatsReport, error) { return a.Server.StatsReport(), nil }
 
 // API returns the server's in-process implementation of the unified
 // client interface.
-func (s *Server) API() API { return apiClient{s.Client()} }
+func (s *Server) API() API { return apiServer{s} }
 
 var (
-	_ API = apiClient{}
+	_ API = apiServer{}
 	_ API = (*HTTPClient)(nil)
 )
 

@@ -423,7 +423,7 @@ func matrixFromEntries(rows, cols int, entries [][3]float64) (*spmv.Matrix, erro
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	list := s.Client().Matrices()
+	list := s.Matrices()
 	if s.cluster != nil {
 		for _, si := range s.cluster.Matrices() {
 			list = append(list, MatrixInfo{
@@ -562,10 +562,6 @@ func (s *Server) StatsReport() StatsReport {
 	return rep
 }
 
-// StatsReport returns the in-process client's view of the full stats
-// document (counters, latency, admission, cluster).
-func (c *Client) StatsReport() StatsReport { return c.s.StatsReport() }
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.StatsReport())
 }
@@ -601,7 +597,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Counter("spmv_serve_sweeps_total", "Kernel sweeps executed.", float64(st.Sweeps))
 	e.Counter("spmv_serve_fused_sweeps_total", "Sweeps that coalesced >= 2 requests.", float64(st.FusedSweeps))
 	e.Counter("spmv_serve_fused_requests_total", "Requests served by fused sweeps.", float64(st.FusedRequests))
-	e.Counter("spmv_serve_single_fallbacks_total", "Requests served by the per-request parallel path.", float64(st.SingleFallbacks))
+	e.Counter("spmv_serve_single_fallbacks_total", "Requests served alone, as width-1 sweeps on the fused path.", float64(st.SingleFallbacks))
 	e.Gauge("spmv_serve_matrices_registered", "Matrices in the registry.", float64(st.Registered))
 	e.Counter("spmv_serve_compiles_total", "Tuner+compile runs (operator-cache misses).", float64(st.Compiles))
 	e.Counter("spmv_serve_compile_hits_total", "Operator-cache hits.", float64(st.CompileHits))

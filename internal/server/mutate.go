@@ -1,7 +1,7 @@
 // Mutable matrices: PATCH /v1/matrices/{id} applies a batch of COO
 // deltas to a registered matrix, DELETE /v1/matrices/{id} tears one down,
 // and a background recompactor folds accumulated deltas into a fresh
-// tuned base once their overlay stream crosses the traffic-modeled
+// compiled base once their overlay stream crosses the traffic-modeled
 // threshold (Config.RecompactThreshold).
 //
 // The serving story: deltas land in the entry's seq-ordered log
@@ -12,7 +12,7 @@
 // result is bitwise identical to a from-scratch rebuild of the mutated
 // matrix, at any thread count, fused width, or delta batch split (see
 // kernel.OverlayRows for the argument). Recompaction then folds the log
-// into a new base matrix, re-tunes it, and promotes via the same
+// into a new base matrix, recompiles it, and promotes via the same
 // copy-on-write snapshot swap re-tuning uses: in-flight sweeps drain on
 // the old generation while new arrivals see the folded one, and — again
 // on the deterministic paths — the swap moves no bits, so a promotion
@@ -26,7 +26,6 @@ import (
 
 	spmv "repro"
 	"repro/internal/matrix/delta"
-	"repro/internal/obs"
 	"repro/internal/traffic"
 )
 
@@ -175,7 +174,7 @@ func (s *Server) Patch(id string, deltas []Delta) (PatchResult, error) {
 }
 
 // Recompact synchronously folds a matrix's pending deltas into a fresh
-// tuned base (the operation the background recompactor runs when the
+// compiled base (the operation the background recompactor runs when the
 // overlay crosses the threshold). A no-op when nothing is pending; an
 // error when a background recompaction is already in flight.
 func (s *Server) Recompact(id string) error {
@@ -190,14 +189,14 @@ func (s *Server) Recompact(id string) error {
 }
 
 // recompactEntry folds the entry's delta log into a fresh base matrix,
-// re-tunes it, and promotes the result. The caller holds the entry's
+// recompiles it, and promotes the result. The caller holds the entry's
 // recompacting latch; it is released on every exit.
 //
 // Three phases keep the expensive work off the entry's writer lock:
 //
 //  1. Under tuneMu: capture the log's seq and fold it into a new base
 //     matrix (a linear copy).
-//  2. Off-lock: compile the folded base — the tuner pass and kernel
+//  2. Off-lock: compile the folded base — CSR construction and kernel
 //     compilation, the dominant cost — while patches keep landing.
 //  3. Under tuneMu again: rebuild the delta log over the folded base,
 //     replay the ops that arrived during phase 2 (Tail(seq)), swap the
@@ -244,33 +243,13 @@ func (s *Server) recompactEntry(e *Entry) error {
 		}
 	}
 	if def == nil {
-		op, err := spmv.CompileParallel(folded, s.cfg.Tune, s.cfg.Threads, 1)
+		op, err := spmv.CompileParallel(folded, spmv.NaiveOptions(), s.cfg.Threads, 1)
 		if err != nil {
 			return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 		}
 		def = op
 	}
-	var shards []spmv.RowRange
-	if !def.Symmetric() {
-		var err error
-		shards, err = def.RowPartition(s.cfg.Shards)
-		if err != nil {
-			return fmt.Errorf("server: recompact %q: %w", e.ID, err)
-		}
-	}
-	// Traffic accounting mirrors prepare: the symmetric kernel's halved
-	// stream, or the fused-path CSR stream plus the lone fast path's tuned
-	// encoding for general entries.
-	var tr, lone spmv.TrafficSummary
-	var err error
-	if def.Symmetric() {
-		tr, err = def.Traffic(spmv.TrafficOptions{})
-		lone = tr
-	} else {
-		if tr, err = def.MultiTraffic(spmv.TrafficOptions{}); err == nil {
-			lone, err = def.WideTraffic(spmv.TrafficOptions{})
-		}
-	}
+	nsv, err := s.newServing(def)
 	if err != nil {
 		return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 	}
@@ -296,17 +275,10 @@ func (s *Server) recompactEntry(e *Entry) error {
 		ov = newLog.Overlay()
 		ovBytes = traffic.OverlaySweepBytes(ov.DirtyRows(), ov.Entries())
 	}
-	nsv := &serving{
-		op: def, sym: def.Symmetric(), width: 1, gen: sv.gen + 1, shards: shards,
-		matrixBytes: tr.MatrixBytes, sourceBytes: tr.SourceBytes, destBytes: tr.DestBytes,
-		lone: lone, ov: ov, ovBytes: ovBytes,
-		// A fresh roofline accumulator, like any promotion: the folded
-		// generation's achieved bandwidth is measured on its own sweeps.
-		roof: new(obs.Roofline),
-	}
-	if !nsv.sym {
-		nsv.cacheKey = &opKey{opts: s.cfg.Tune, threads: s.cfg.Threads}
-	}
+	// The snapshot carries a fresh roofline accumulator, like any
+	// promotion: the folded generation's achieved bandwidth is measured on
+	// its own sweeps.
+	nsv.gen, nsv.ov, nsv.ovBytes = sv.gen+1, ov, ovBytes
 	// Swap the base and reset the operator caches to exactly the folded
 	// operator under its canonical key — the old encodings serve a matrix
 	// that no longer exists, and the re-tuner's eviction logic (drop)
@@ -437,18 +409,3 @@ func (s *Server) purgeBatchers(id string) {
 	}
 	s.mu.Unlock()
 }
-
-// Patch applies a batch of COO deltas (in-process mirror of PATCH
-// /v1/matrices/{id}).
-func (c *Client) Patch(id string, deltas []Delta) (PatchResult, error) {
-	return c.s.Patch(id, deltas)
-}
-
-// DeleteMatrix tears down a matrix (in-process mirror of DELETE
-// /v1/matrices/{id}).
-func (c *Client) DeleteMatrix(id string) (DeleteResult, error) {
-	return c.s.DeleteMatrix(id)
-}
-
-// Recompact synchronously folds pending deltas into a fresh tuned base.
-func (c *Client) Recompact(id string) error { return c.s.Recompact(id) }

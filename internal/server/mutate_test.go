@@ -122,7 +122,7 @@ func TestPatchMatchesRebuildBitwise(t *testing.T) {
 		mustBitwise(t, "patched vs rebuild", got, want)
 	}
 
-	infos := s.Client().Matrices()
+	infos := s.Matrices()
 	if len(infos) != 1 || infos[0].DeltaSeq != len(all) || infos[0].OverlayRows == 0 {
 		t.Fatalf("info does not reflect the log: %+v", infos)
 	}
@@ -164,7 +164,7 @@ func TestPatchAtomicAndValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustBitwise(t, "after rejected batches", after, before)
-	if infos := s.Client().Matrices(); infos[0].DeltaSeq != 0 {
+	if infos := s.Matrices(); infos[0].DeltaSeq != 0 {
 		t.Fatalf("rejected batches advanced the log to seq %d", infos[0].DeltaSeq)
 	}
 	if _, err := s.Patch("ghost", []Delta{{Op: "set", Row: 0, Col: 0, Val: 1}}); !errors.Is(err, ErrUnknownMatrix) {
@@ -216,7 +216,7 @@ func TestRecompactionPromotes(t *testing.T) {
 	}
 	gen0 := e.cur.Load().gen
 	nnzBefore := e.NNZ()
-	if err := s.Client().Recompact("a"); err != nil {
+	if err := s.Recompact("a"); err != nil {
 		t.Fatal(err)
 	}
 	sv := e.cur.Load()
@@ -240,7 +240,7 @@ func TestRecompactionPromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustBitwise(t, "across recompaction", after, before)
-	if infos := s.Client().Matrices(); infos[0].DeltaSeq != 0 || infos[0].OverlayRows != 0 {
+	if infos := s.Matrices(); infos[0].DeltaSeq != 0 || infos[0].OverlayRows != 0 {
 		t.Fatalf("info still shows a log after recompaction: %+v", infos[0])
 	}
 	if st := s.Stats(); st.Recompactions != 1 {
@@ -248,7 +248,7 @@ func TestRecompactionPromotes(t *testing.T) {
 	}
 
 	// Nothing pending: a second recompaction is a no-op.
-	if err := s.Client().Recompact("a"); err != nil {
+	if err := s.Recompact("a"); err != nil {
 		t.Fatal(err)
 	}
 	if g := e.cur.Load().gen; g != gen0+1 {
@@ -291,7 +291,7 @@ func TestRecompactionAutoTrigger(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	infos := s.Client().Matrices()
+	infos := s.Matrices()
 	if infos[0].DeltaSeq != 0 || infos[0].Generation == 0 {
 		t.Fatalf("recompaction did not fold: %+v", infos[0])
 	}
@@ -330,7 +330,7 @@ func TestRecompactionSymmetry(t *testing.T) {
 		if !e.isSymmetricMatrix() {
 			t.Fatal("symmetric pair of deltas judged asymmetric")
 		}
-		if err := s.Client().Recompact("s"); err != nil {
+		if err := s.Recompact("s"); err != nil {
 			t.Fatal(err)
 		}
 		if !e.cur.Load().sym {
@@ -368,7 +368,7 @@ func TestRecompactionSymmetry(t *testing.T) {
 		if d := maxAbsDiff(got, want); d > 1e-12 {
 			t.Fatalf("sym-served overlay off by %g", d)
 		}
-		if err := s.Client().Recompact("s"); err != nil {
+		if err := s.Recompact("s"); err != nil {
 			t.Fatal(err)
 		}
 		sv := e.cur.Load()
@@ -463,7 +463,7 @@ func TestDeleteMatrixSharded(t *testing.T) {
 		t.Fatalf("sharded Mul after delete: got %v, want ErrUnknownMatrix", err)
 	}
 	for i, member := range members {
-		if list := member.Client().Matrices(); len(list) != 0 {
+		if list := member.Matrices(); len(list) != 0 {
 			t.Fatalf("member %d still holds %d band(s)", i, len(list))
 		}
 	}
@@ -522,7 +522,7 @@ func TestPatchDeleteHTTP(t *testing.T) {
 	if _, err := hc.RegisterSuite("a", "LP", 0.02, 21); err != nil {
 		t.Fatal(err)
 	}
-	infos := s.Client().Matrices()
+	infos := s.Matrices()
 	rows, cols := infos[0].Rows, infos[0].Cols
 	deltas := []Delta{
 		{Op: "set", Row: 0, Col: 1, Val: 2.5},
@@ -606,7 +606,7 @@ func TestMidSolveRecompactionTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		if recompactMidway {
-			if err := s.Client().Recompact("a"); err != nil {
+			if err := s.Recompact("a"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -677,7 +677,7 @@ func TestMutationRaceHammer(t *testing.T) {
 		for k := 0; k < iters/4; k++ {
 			// "already in flight" races with the background recompactor
 			// and is expected; anything else is not.
-			if err := s.Client().Recompact("a"); err != nil && !errors.Is(err, ErrUnknownMatrix) {
+			if err := s.Recompact("a"); err != nil && !errors.Is(err, ErrUnknownMatrix) {
 				time.Sleep(time.Millisecond)
 			}
 		}

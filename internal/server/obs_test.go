@@ -214,8 +214,7 @@ func TestTracesSpansTileWall(t *testing.T) {
 func TestTuningMeasuredRoofline(t *testing.T) {
 	s := New(obsConfig())
 	defer s.Close()
-	c := s.Client()
-	info, err := c.RegisterSuite("qcd", "QCD", 0.05, 1)
+	info, err := s.RegisterSuite("qcd", "QCD", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +223,11 @@ func TestTuningMeasuredRoofline(t *testing.T) {
 		x[i] = 1
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := c.Mul("qcd", x); err != nil {
+		if _, err := s.Mul("qcd", x); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := c.Tuning("qcd")
+	rep, err := s.Tuning("qcd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +255,6 @@ func TestTuningMeasuredRoofline(t *testing.T) {
 func TestSolveIterTraces(t *testing.T) {
 	s := New(obsConfig())
 	defer s.Close()
-	c := s.Client()
 	// SPD tridiagonal matrix.
 	mm := "%%MatrixMarket matrix coordinate real general\n4 4 10\n" +
 		"1 1 2\n2 2 2\n3 3 2\n4 4 2\n1 2 -1\n2 1 -1\n2 3 -1\n3 2 -1\n3 4 -1\n4 3 -1\n"
@@ -264,14 +262,14 @@ func TestSolveIterTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register("spd", "spd", m); err != nil {
+	if _, err := s.Register("spd", "spd", m); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Solve("spd", SolveRequest{Method: "cg", B: []float64{1, 1, 1, 1}, Tol: 1e-10})
+	st, err := s.Solve("spd", SolveRequest{Method: "cg", B: []float64{1, 1, 1, 1}, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SolveStatus(st.SID, 5*time.Second); err != nil {
+	if _, err := s.SolveStatus(st.SID, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -291,7 +289,7 @@ func TestSolveIterTraces(t *testing.T) {
 	if iters == 0 {
 		t.Fatal("no cg_iter traces recorded")
 	}
-	lat := c.Latency()
+	lat := s.Latency()
 	if hs, ok := lat.Stage["solve_iter"]; !ok || hs.Count == 0 {
 		t.Fatalf("solve_iter stage histogram missing: %v", lat.Stage)
 	}
@@ -378,8 +376,7 @@ func TestRooflineResetsOnPromotion(t *testing.T) {
 	cfg.RetuneMinRequests = 1
 	s := New(cfg)
 	defer s.Close()
-	c := s.Client()
-	info, err := c.RegisterSuite("qcd", "QCD", 0.05, 1)
+	info, err := s.RegisterSuite("qcd", "QCD", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +386,11 @@ func TestRooflineResetsOnPromotion(t *testing.T) {
 	}
 	x := make([]float64, info.Cols)
 	for i := 0; i < 12; i++ {
-		if _, err := c.Mul("qcd", x); err != nil {
+		if _, err := s.Mul("qcd", x); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before, err := c.Tuning("qcd")
+	before, err := s.Tuning("qcd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +404,7 @@ func TestRooflineResetsOnPromotion(t *testing.T) {
 	if s.RetuneOnce() == 0 {
 		t.Skip("re-tuner declined to promote on this workload; reset covered only on promotion")
 	}
-	after, err := c.Tuning("qcd")
+	after, err := s.Tuning("qcd")
 	if err != nil {
 		t.Fatal(err)
 	}

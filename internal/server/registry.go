@@ -1,10 +1,11 @@
 // Package server is the SpMV serving subsystem: a matrix registry that
-// tunes (§4.2) and caches compiled operators, an adaptive batcher that
-// coalesces concurrent single-vector requests into fused multi-RHS sweeps
-// (§2.1's multiple-vectors optimization — the matrix streams once for k
-// requests), and a worker pool that shards each sweep over nonzero-balanced
-// row partitions (§4.3). It serves both as an in-process Client API and,
-// via Handler, as the HTTP service behind cmd/spmv-serve.
+// compiles and caches operators and re-tunes them online (§4.2), an
+// adaptive batcher that coalesces concurrent single-vector requests into
+// fused multi-RHS sweeps (§2.1's multiple-vectors optimization — the
+// matrix streams once for k requests), and a worker pool that shards each
+// sweep over nonzero-balanced row partitions (§4.3). *Server is the
+// in-process API; Handler serves the same operations over HTTP behind
+// cmd/spmv-serve.
 package server
 
 import (
@@ -48,11 +49,6 @@ type serving struct {
 	// Modeled single-RHS sweep traffic (internal/traffic) of the serving
 	// path, the basis for the server's bytes-moved counters.
 	matrixBytes, sourceBytes, destBytes int64
-	// lone is the traffic of the non-deterministic width-1 fast path,
-	// which runs the tuned operator directly instead of the fused-path
-	// stream the fields above model. Equal to them whenever the lone
-	// path streams the same structure (sym and wide snapshots).
-	lone spmv.TrafficSummary
 	// cacheKey locates op in the entry's general-operator cache so a
 	// later promotion can evict the demoted encoding; nil when op is the
 	// symmetric operator (cached per thread count instead).
@@ -243,8 +239,8 @@ func (e *Entry) SymOperator(threads int, st *stats) (*spmv.Operator, error) {
 }
 
 // dropOperator evicts a cached general operator, and dropSymOperator a
-// cached symmetric one. prepare uses them to release the loser of the
-// auto-symmetric footprint comparison — the encoding would otherwise sit
+// cached symmetric one. prepare and the re-tuner use them to release the
+// losers of their comparisons — the encoding would otherwise sit
 // unreachable in the cache for the entry's lifetime.
 func (e *Entry) dropOperator(opts spmv.TuneOptions, threads int) {
 	e.mu.Lock()

@@ -1,7 +1,7 @@
 // Online workload-aware re-tuning. Williams et al. show the best SpMV
 // format/blocking choice depends on the workload as well as the matrix —
 // the reason OSKI-style systems keep re-tuning as usage evolves. The
-// serving layer tunes each matrix once at registration with a width-1
+// serving layer registers each matrix on plain CSR32 with a width-1
 // guess; the re-tuner closes the loop:
 //
 //  1. Observe: every executed sweep records its fused width in the
@@ -13,8 +13,7 @@
 //     entry is re-evaluated.
 //  3. Re-tune off the hot path: the scanner's goroutine re-runs the §4.2
 //     tuner with workload-derived options — VectorWidth from the
-//     histogram median, and (when bit changes are allowed) a symmetric
-//     candidate for square matrices.
+//     histogram median.
 //  4. Shadow benchmark: each candidate is scored on the captured sample
 //     of real request shapes with the traffic model — modeled DRAM bytes
 //     per request, the same currency as the paper's §5.1 bound — against
@@ -25,13 +24,11 @@
 //     and rejections) land in a bounded per-entry event log exposed at
 //     GET /v1/matrices/{id}/tuning and in the /v1/stats counters.
 //
-// Determinism: when Config.Deterministic is set the candidate search is
-// restricted to the CSR family (row-partitioned, any index width), whose
-// wide kernels are bit-identical to the default CSR multi-RHS path at
-// every width — so a promotion can shrink the fused matrix stream (e.g.
-// 16-bit indices) without changing a single response bit. With
-// determinism off, the full workload-tuned blocked encoding and the
-// symmetric operator are on the table.
+// Determinism: the candidate search is restricted to the CSR family
+// (row-partitioned, any index width), whose wide kernels are bit-identical
+// to the default CSR multi-RHS path at every width — so a promotion can
+// shrink the fused matrix stream (e.g. 16-bit indices) without changing a
+// single response bit.
 package server
 
 import (
@@ -163,9 +160,8 @@ type retuneCandidate struct {
 	op      *spmv.Operator
 	traffic spmv.TrafficSummary // per-sweep traffic as it would be served
 	score   float64             // modeled bytes per request on the sample
-	// cacheKey locates op in the entry's general-operator cache (nil when
-	// op is the symmetric operator, cached per thread count) so losers
-	// can be evicted instead of holding a matrix-sized encoding.
+	// cacheKey locates op in the entry's general-operator cache so a
+	// loser can be evicted instead of holding a matrix-sized encoding.
 	cacheKey *opKey
 }
 
@@ -207,15 +203,8 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 	if len(sample) == 0 {
 		sample = []int{med}
 	}
-	incumbentScore := incumbentBlended(sv, !s.cfg.Deterministic && !sv.sym && !sv.wide, sample)
-
-	cands := s.buildCandidates(e, sv, med, sample)
-	var best *retuneCandidate
-	for i := range cands {
-		if best == nil || cands[i].score < best.score {
-			best = &cands[i]
-		}
-	}
+	incumbentScore := sv.summary().BlendedPerRequest(sample)
+	best := s.buildCandidate(e, med, sample)
 	// Evict a contender's cached encoding — unless it is (or became) the
 	// serving operator — so losers don't hold matrix-sized structures for
 	// the entry's lifetime (the same rule prepare applies to the
@@ -250,15 +239,12 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 		ev.CandidateBytesPerRequest = best.score
 	case best.score < incumbentScore*(1-retunePromoteMargin):
 		nsv := &serving{
-			op: best.op, sym: best.op.Symmetric(), wide: !best.op.Symmetric(),
+			op: best.op, wide: true,
 			width: med, gen: sv.gen + 1,
 			matrixBytes: best.traffic.MatrixBytes,
 			sourceBytes: best.traffic.SourceBytes,
 			destBytes:   best.traffic.DestBytes,
-			// Promoted operators never take the lone fast path (wide and
-			// sym snapshots fuse every width), so lone == fused.
-			lone:     best.traffic,
-			cacheKey: best.cacheKey,
+			cacheKey:    best.cacheKey,
 			// The overlay rides along: a re-tune changes how the BASE is
 			// served, not the pending deltas, and dropping them here would
 			// silently revert the matrix. (Recompaction, not promotion, is
@@ -281,8 +267,8 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 		ev.Kernel = best.op.KernelName()
 		ev.CandidateBytesPerRequest = best.score
 	}
-	for i := range cands {
-		drop(cands[i].op, cands[i].cacheKey) // rejected and runner-up contenders
+	if best != nil {
+		drop(best.op, best.cacheKey) // a rejected candidate
 	}
 	e.events = append(e.events, ev)
 	if len(e.events) > maxTuningEvents {
@@ -298,72 +284,35 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 	return false
 }
 
-// incumbentBlended scores the serving snapshot on the sampled widths.
-// When the lone fast path is live (non-deterministic general snapshots
-// run the tuned operator for width-1 batches), width-1 sweeps are
-// charged at its traffic; everything else at the fused path's.
-func incumbentBlended(sv *serving, loneLive bool, widths []int) float64 {
-	fused := sv.summary()
-	loneTotal := float64(sv.lone.TotalBytes())
-	var total float64
-	for _, w := range widths {
-		if w <= 1 && loneLive {
-			total += loneTotal
-			continue
-		}
-		total += fused.BlendedPerRequest([]int{w})
+// buildCandidate compiles the workload-derived contender for an entry —
+// the tuner re-run with retuneOptions — scored on the captured sample. Its
+// fused sweeps would stream the tuned encoding through the wide kernels,
+// so it is scored on that encoding's own traffic. The candidate goes
+// through the entry's operator cache (the registry's compile-once
+// contract); the evaluation's decision then evicts it if it loses, and
+// lastRejectedWidth keeps an unchanged median from recompiling it. nil
+// means no viable candidate compiled.
+func (s *Server) buildCandidate(e *Entry, width int, sample []int) *retuneCandidate {
+	opts := retuneOptions(width)
+	op, err := e.Operator(opts, s.cfg.Threads, &s.st)
+	if err != nil {
+		return nil
 	}
-	return total / float64(len(widths))
+	tr, err := op.WideTraffic(spmv.TrafficOptions{})
+	if err != nil {
+		return nil
+	}
+	return &retuneCandidate{
+		op: op, traffic: tr, score: tr.BlendedPerRequest(sample),
+		cacheKey: &opKey{opts: opts, threads: s.cfg.Threads},
+	}
 }
 
-// buildCandidates compiles the workload-derived contenders for an entry,
-// each scored on the captured sample. Candidates go through the entry's
-// operator cache (the registry's compile-once contract); the evaluation's
-// decision then evicts the losers, and lastRejectedWidth keeps an
-// unchanged median from recompiling an already-rejected candidate.
-func (s *Server) buildCandidates(e *Entry, sv *serving, width int, sample []int) []retuneCandidate {
-	var cands []retuneCandidate
-	// General candidate: the tuner re-run with workload-derived options.
-	// Its fused sweeps stream the tuned encoding through the wide kernels,
-	// so it is scored on that encoding's own traffic.
-	opts := s.retuneOptions(width)
-	if op, err := e.Operator(opts, s.cfg.Threads, &s.st); err == nil {
-		if tr, err := op.WideTraffic(spmv.TrafficOptions{}); err == nil {
-			cands = append(cands, retuneCandidate{
-				op: op, traffic: tr, score: tr.BlendedPerRequest(sample),
-				cacheKey: &opKey{opts: opts, threads: s.cfg.Threads},
-			})
-		}
-	}
-	// Symmetric candidate: only when family switches are allowed — the
-	// symmetric reduction order differs from the CSR family's, so under
-	// Deterministic it would break the bitwise-stable-responses contract.
-	if !s.cfg.Deterministic && !sv.sym && e.rows == e.cols {
-		if op, err := e.SymOperator(s.cfg.Threads, &s.st); err == nil {
-			if tr, err := op.Traffic(spmv.TrafficOptions{}); err == nil {
-				cands = append(cands, retuneCandidate{op: op, traffic: tr, score: tr.BlendedPerRequest(sample)})
-			}
-		}
-	}
-	return cands
-}
-
-// retuneOptions derives tuner options from the observed workload: the
-// blocking heuristics target the observed fused width. Deterministic
-// serving additionally restricts the search to the CSR family (whose wide
-// kernels reproduce the default path's bits at every width), leaving
-// index-width reduction as the only lever — re-tuning then trims the
-// fused matrix stream without moving a single response bit.
-func (s *Server) retuneOptions(width int) spmv.TuneOptions {
-	opts := s.cfg.Tune
-	opts.VectorWidth = width
-	if s.cfg.Deterministic {
-		opts.RegisterBlock = false
-		opts.AllowBCOO = false
-		opts.CacheBlock = false
-		opts.TLBBlock = false
-		opts.FixedColumnSpan = 0
-		opts.TrySymmetric = false
-	}
-	return opts
+// retuneOptions derives tuner options from the observed workload: index
+// reduction blocked for the observed fused width. The search stays in the
+// CSR family (whose wide kernels reproduce the default path's bits at
+// every width), so re-tuning trims the fused matrix stream without moving
+// a single response bit.
+func retuneOptions(width int) spmv.TuneOptions {
+	return spmv.TuneOptions{ReduceIndices: true, VectorWidth: width}
 }

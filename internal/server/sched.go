@@ -358,7 +358,3 @@ func (s *Server) Admission() *AdmissionReport {
 	rep.JainFairness = sched.JainIndex(allocs)
 	return rep
 }
-
-// Admission returns the in-process client's view of the admission
-// ledgers (what /v1/stats serves under "admission").
-func (c *Client) Admission() *AdmissionReport { return c.s.Admission() }

@@ -17,13 +17,19 @@ import (
 )
 
 // Config sizes the serving subsystem.
+//
+// Serving numerics are fixed, not configured: every Mul response — lone
+// or fused, served by one node or scattered over a sharded fleet, before
+// or after a re-tune promotion or a recompaction — is bitwise identical
+// for a given matrix and storage family. General matrices stream the
+// CSR family through the multi-RHS kernels, which accumulate each row
+// strictly in column order; symmetric matrices run the symmetric
+// kernel's canonical segmented reduction (kernel.SymSweep). Symmetry
+// changes the summation order once, at registration, never per request.
 type Config struct {
-	// Tune is the tuner configuration used for every matrix's default
-	// serving operator (DefaultTuneOptions when zero-valued configs use
-	// DefaultConfig).
-	Tune spmv.TuneOptions
-	// Threads is the parallel width of the per-request fallback operator.
-	// <= 0 means GOMAXPROCS.
+	// Threads is the parallel width operators compile with (the symmetric
+	// kernel's segment tasks, a promoted wide view's thread parts) and of
+	// solver sessions' BLAS reductions. <= 0 means GOMAXPROCS.
 	Threads int
 	// Workers is the sweep pool size. <= 0 means GOMAXPROCS.
 	Workers int
@@ -41,32 +47,13 @@ type Config struct {
 	// Adaptive lets lone requests skip the linger when traffic is sparse
 	// (see batcher). Dense traffic still coalesces.
 	Adaptive bool
-	// Deterministic pins the serving numerics: every request — lone or
-	// fused, served by one node or scattered over a sharded fleet — is
-	// computed by the CSR multi-RHS kernels, which accumulate each row
-	// strictly in column order. Responses are then bitwise identical
-	// regardless of batch width, shard count, or replica choice, the
-	// consistency a fleet needs for caching and verification downstream.
-	// When false, lone requests run the tuned (register/cache-blocked)
-	// operator instead: a smaller matrix stream on the sparse-traffic
-	// path, at the cost of low-order bits that vary with the tuner's
-	// blocking decisions (tile-local partial sums reassociate the row
-	// reductions).
-	//
-	// Matrices served by the symmetric operator are deterministic under
-	// either setting: the symmetric kernel's canonical segmented
-	// reduction fixes every bit regardless of thread count or batch
-	// width (see kernel.SymSweep). Their bits do differ from the same
-	// matrix served general — symmetry changes the summation order once,
-	// at registration, never per request.
-	Deterministic bool
-
 	// AutoSymmetric tries upper-triangle (SymCSR) storage for every
 	// square registered matrix: when the symmetric compile succeeds
 	// (the matrix is numerically symmetric) and its footprint beats the
-	// tuned general plan, the matrix is served by the parallel symmetric
-	// operator — half the matrix stream per sweep. A per-request
-	// "symmetric" field overrides the auto-detection either way.
+	// CSR32 that general serving streams, the matrix is served by the
+	// parallel symmetric operator — half the matrix stream per sweep. A
+	// per-request "symmetric" field overrides the auto-detection either
+	// way.
 	AutoSymmetric bool
 
 	// MaxBodyBytes caps HTTP request bodies (registrations and mul
@@ -167,16 +154,14 @@ const DefaultRecompactThreshold = 0.10
 // MatrixMarket) while still bounding a hostile request's memory.
 const DefaultMaxBodyBytes = 256 << 20
 
-// DefaultConfig serves with the full §4.2 tuner, GOMAXPROCS workers, up to
-// 8-wide fusion, a 200µs linger with adaptive fallback, deterministic
-// (topology-invariant) numerics, and symmetric storage auto-detection.
+// DefaultConfig serves with GOMAXPROCS workers, up to 8-wide fusion, a
+// 200µs linger with adaptive fallback, and symmetric storage
+// auto-detection.
 func DefaultConfig() Config {
 	return Config{
-		Tune:          spmv.DefaultTuneOptions(),
 		MaxBatch:      8,
 		BatchWindow:   200 * time.Microsecond,
 		Adaptive:      true,
-		Deterministic: true,
 		AutoSymmetric: true,
 		ObsSample:     DefaultObsSample,
 	}
@@ -376,9 +361,9 @@ type RegisterOptions struct {
 	Symmetric *bool
 }
 
-// Register ingests a matrix, runs the tuner once, compiles the default
-// serving operator, and precomputes the fused-sweep shard plan. The empty
-// id asks the registry to generate one.
+// Register ingests a matrix, compiles the default serving operator, and
+// precomputes the fused-sweep shard plan. The empty id asks the registry
+// to generate one.
 func (s *Server) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
 	return s.RegisterOpts(id, name, m, RegisterOptions{})
 }
@@ -409,12 +394,14 @@ func (s *Server) RegisterSuite(id, suite string, scale float64, seed int64) (Mat
 	return s.Register(id, suite, m)
 }
 
-// prepare compiles the entry's default operator and shard plan. The
-// storage family comes from opts.Symmetric (see RegisterOptions): when
-// symmetric storage is wanted, the parallel symmetric operator is
-// compiled and — in auto mode — kept only if its footprint beats the
-// tuned general plan, the same footprint-minimizing rule the §4.2
-// heuristic applies between formats.
+// prepare compiles the entry's default operator and serving snapshot. The
+// storage family comes from opts.Symmetric (see RegisterOptions). General
+// matrices compile untuned (spmv.NaiveOptions): their fused sweeps stream
+// the retained CSR32 until the re-tuner promotes a wide view, so a §4.2
+// blocked plan would be built only to sit unused. In auto mode the
+// symmetric operator is kept only when its footprint beats that CSR32 —
+// the same footprint-minimizing rule the §4.2 heuristic applies between
+// formats, with ties going to general.
 func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 	rows, cols := e.Dims()
 	wantSym := s.cfg.AutoSymmetric
@@ -422,7 +409,7 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 	if opts.Symmetric != nil {
 		wantSym, required = *opts.Symmetric, *opts.Symmetric
 	}
-	var symOp *spmv.Operator
+	var def *spmv.Operator
 	if wantSym {
 		if rows != cols {
 			if required {
@@ -430,79 +417,60 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 			}
 		} else {
 			op, err := e.SymOperator(s.cfg.Threads, &s.st)
-			if err != nil {
-				if required {
-					return fmt.Errorf("%w: %v", ErrNotSymmetric, err)
-				}
-			} else {
-				symOp = op
-			}
-		}
-	}
-
-	def := symOp
-	if symOp == nil || !required {
-		op, err := e.Operator(s.cfg.Tune, s.cfg.Threads, &s.st)
-		if err != nil {
-			return err
-		}
-		if symOp == nil || op.FootprintBytes() <= symOp.FootprintBytes() {
-			def = op
-		}
-		// Evict the comparison's loser: it is unreachable once def is
-		// chosen and would otherwise hold a matrix-sized encoding for
-		// the entry's lifetime.
-		if symOp != nil {
-			if def == symOp {
-				e.dropOperator(s.cfg.Tune, s.cfg.Threads)
-			} else {
+			switch {
+			case err != nil && required:
+				return fmt.Errorf("%w: %v", ErrNotSymmetric, err)
+			case err != nil:
+				// Not symmetric: auto mode serves it general.
+			case required || op.FootprintBytes() < op.BaselineBytes():
+				def = op
+			default:
+				// Evict the comparison's loser: it is unreachable once
+				// general storage is chosen and would otherwise hold a
+				// matrix-sized encoding for the entry's lifetime.
 				e.dropSymOperator(s.cfg.Threads)
 			}
 		}
 	}
-
-	var shards []spmv.RowRange
-	if !def.Symmetric() {
-		// The symmetric sweep parallelizes internally (its scatter escapes
-		// any row range), so only general operators get an external
-		// fused-sweep shard plan.
-		var err error
-		shards, err = def.RowPartition(s.cfg.Shards)
+	if def == nil {
+		op, err := e.Operator(spmv.NaiveOptions(), s.cfg.Threads, &s.st)
 		if err != nil {
 			return err
 		}
+		def = op
 	}
-	// Account the traffic of what the serving paths actually stream: the
-	// symmetric kernel's halved store for symmetric entries; for general
-	// ones, the retained CSR fallback on the fused path (Multi's views
-	// stream it regardless of the tuned single-vector encoding) and the
-	// tuned encoding itself on the non-deterministic width-1 fast path.
-	// Serial and parallel operators then report identically — which also
-	// keeps the re-tuner's incumbent score honest on single-thread
-	// servers.
-	var tr, lone spmv.TrafficSummary
-	var err error
-	if def.Symmetric() {
-		tr, err = def.Traffic(spmv.TrafficOptions{})
-		lone = tr
-	} else {
-		if tr, err = def.MultiTraffic(spmv.TrafficOptions{}); err == nil {
-			lone, err = def.WideTraffic(spmv.TrafficOptions{})
-		}
-	}
+	sv, err := s.newServing(def)
 	if err != nil {
 		return err
 	}
-	sv := &serving{
-		op: def, sym: def.Symmetric(), width: 1, shards: shards,
-		matrixBytes: tr.MatrixBytes, sourceBytes: tr.SourceBytes, destBytes: tr.DestBytes,
-		lone: lone, roof: new(obs.Roofline),
-	}
-	if !sv.sym {
-		sv.cacheKey = &opKey{opts: s.cfg.Tune, threads: s.cfg.Threads}
-	}
 	e.cur.Store(sv)
 	return nil
+}
+
+// newServing builds a width-1, generation-0 snapshot for a freshly
+// compiled default operator (registration or recompaction). Its traffic
+// is what the serving paths actually stream: the symmetric kernel's
+// halved store for symmetric operators, the retained CSR32 for general
+// ones. The symmetric sweep parallelizes internally (its scatter escapes
+// any row range), so only general operators get an external fused-sweep
+// shard plan.
+func (s *Server) newServing(def *spmv.Operator) (*serving, error) {
+	sv := &serving{op: def, sym: def.Symmetric(), width: 1, roof: new(obs.Roofline)}
+	var tr spmv.TrafficSummary
+	var err error
+	if sv.sym {
+		tr, err = def.Traffic(spmv.TrafficOptions{})
+	} else {
+		sv.cacheKey = &opKey{opts: spmv.NaiveOptions(), threads: s.cfg.Threads}
+		if sv.shards, err = def.RowPartition(s.cfg.Shards); err == nil {
+			tr, err = def.MultiTraffic(spmv.TrafficOptions{})
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	sv.matrixBytes, sv.sourceBytes, sv.destBytes = tr.MatrixBytes, tr.SourceBytes, tr.DestBytes
+	return sv, nil
 }
 
 // Mul computes y = A·x for the registered matrix id as the default
@@ -611,15 +579,9 @@ func (s *Server) batcherFor(e *Entry, class sched.Class) *batcher {
 }
 
 // recordSweep accounts one executed sweep in the global counters and the
-// entry's workload observation (the re-tuner's drift signal). lonePath
-// marks the non-deterministic width-1 fast path, which streams the tuned
-// operator's own encoding rather than the fused path's.
-func (s *Server) recordSweep(e *Entry, sv *serving, width int, lonePath bool) {
-	if lonePath {
-		s.st.recordSweep(width, sv.lone.MatrixBytes, sv.lone.SourceBytes, sv.lone.DestBytes)
-	} else {
-		s.st.recordSweep(width, sv.matrixBytes, sv.sourceBytes, sv.destBytes)
-	}
+// entry's workload observation (the re-tuner's drift signal).
+func (s *Server) recordSweep(e *Entry, sv *serving, width int) {
+	s.st.recordSweep(width, sv.matrixBytes, sv.sourceBytes, sv.destBytes)
 	if sv.ovBytes > 0 {
 		// The overlay stream is charged once per sweep, whatever the fused
 		// width — the scan runs once over the block, like the matrix stream.
@@ -629,9 +591,8 @@ func (s *Server) recordSweep(e *Entry, sv *serving, width int, lonePath bool) {
 }
 
 // executeBatch runs one closed batch as a multi-RHS sweep sharded over the
-// pool. Width-1 batches take the same CSR sweep path when Deterministic
-// (so lone and fused requests produce identical bits) and the per-request
-// tuned parallel operator otherwise. The whole batch runs on one serving
+// pool. Width-1 batches take the same path, so lone and fused requests
+// produce identical bits. The whole batch runs on one serving
 // snapshot loaded up front, so a concurrent re-tune promotion never
 // mixes operators within a sweep — in-flight sweeps drain on the
 // snapshot they started with.
@@ -685,37 +646,6 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		fail(fmt.Errorf("server: matrix %q is still compiling", e.ID))
 		return
 	}
-	// Symmetric and wide entries always take the multi-RHS path below:
-	// their operator IS the deterministic kernel, and the path lets its
-	// internal tasks run under the pool's concurrency bounds. Entries with
-	// a live overlay do too — the overlay overwrite belongs to the fused
-	// path (runFused), and the lone path's tuned encoding would serve the
-	// unpatched base.
-	if width == 1 && !s.cfg.Deterministic && !sv.sym && !sv.wide && sv.ov == nil {
-		var y []float64
-		var err error
-		s.pool.RunSweep([]func(){func() { y, err = sv.op.Mul(reqs[0].x) }})
-		s.recordSweep(e, sv, 1, true)
-		var execDone time.Time
-		if o != nil {
-			execDone = time.Now()
-			sv.roof.Record(execDone.Sub(execStart),
-				sweepModeledBytes(sv.lone.MatrixBytes, sv.lone.SourceBytes, sv.lone.DestBytes, 1))
-		}
-		reqs[0].ch <- mulResult{y: y, err: err}
-		if o != nil {
-			p := reqs[0]
-			o.stage.Observe(stageQueue, execStart.Sub(p.enq))
-			o.stage.Observe(stageExecute, execDone.Sub(execStart))
-			if p.traced && err == nil {
-				// The lone fast path has no interleave/gather work; zero-width
-				// spans keep the timeline tiled.
-				o.traceMul(e.ID, sv.gen, 1, p.enq, execStart, execStart, execDone, time.Now())
-			}
-		}
-		return
-	}
-
 	mo, err := fusedView(sv, width)
 	if err != nil {
 		fail(err)
@@ -756,7 +686,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		sv.roof.Record(execDone.Sub(interDone),
 			sweepModeledBytes(sv.matrixBytes, sv.sourceBytes, sv.destBytes, width)+sv.ovBytes)
 	}
-	s.recordSweep(e, sv, width, false)
+	s.recordSweep(e, sv, width)
 	// Deinterleave with one sequential pass over the block.
 	ys := make([][]float64, width)
 	for v := range ys {
@@ -846,48 +776,12 @@ func (s *Server) runFused(sv *serving, mo *spmv.MultiOperator, yBlock, xBlock []
 	return sweepErr
 }
 
-// Client is the in-process API of the serving subsystem — the same
-// operations cmd/spmv-serve exposes over HTTP, without the transport.
-type Client struct{ s *Server }
-
-// Client returns an in-process client bound to the server.
-func (s *Server) Client() *Client { return &Client{s: s} }
-
-// Register ingests and tunes a matrix.
-func (c *Client) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
-	return c.s.Register(id, name, m)
-}
-
-// RegisterSuite ingests a generated Table 3 twin.
-func (c *Client) RegisterSuite(id, suite string, scale float64, seed int64) (MatrixInfo, error) {
-	return c.s.RegisterSuite(id, suite, scale, seed)
-}
-
-// Mul computes y = A·x, transparently coalescing with concurrent callers.
-//
-// Deprecated: use MulOpts, which carries the request's tenant, SLO
-// class, and deadline. Mul is exactly MulOpts with zero options.
-func (c *Client) Mul(id string, x []float64) ([]float64, error) { return c.s.Mul(id, x) }
-
-// MulOpts computes y = A·x under the request options (tenant admission,
-// SLO class scheduling, deadline), transparently coalescing with
-// concurrent same-class callers.
-func (c *Client) MulOpts(id string, x []float64, opts MulOptions) ([]float64, error) {
-	return c.s.MulOpts(id, x, opts)
-}
-
 // Matrices lists the registered matrices.
-func (c *Client) Matrices() []MatrixInfo {
-	entries := c.s.reg.List()
+func (s *Server) Matrices() []MatrixInfo {
+	entries := s.reg.List()
 	out := make([]MatrixInfo, len(entries))
 	for i, e := range entries {
-		out[i] = c.s.info(e)
+		out[i] = s.info(e)
 	}
 	return out
 }
-
-// Stats snapshots the serving counters.
-func (c *Client) Stats() Stats { return c.s.Stats() }
-
-// Tuning returns the online re-tuner's state for a registered matrix.
-func (c *Client) Tuning(id string) (TuningReport, error) { return c.s.Tuning(id) }

@@ -77,15 +77,15 @@ func TestRegistryOperatorCache(t *testing.T) {
 	}
 	st0 := s.Stats()
 	if st0.Compiles != 1 {
-		t.Fatalf("register ran %d compiles, want exactly 1 (tune once per matrix)", st0.Compiles)
+		t.Fatalf("register ran %d compiles, want exactly 1 (compile once per matrix)", st0.Compiles)
 	}
 
 	// Same options + threads: cache hit, identical operator.
-	op1, err := e.Operator(s.cfg.Tune, s.cfg.Threads, &s.st)
+	op1, err := e.Operator(spmv.NaiveOptions(), s.cfg.Threads, &s.st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op2, err := e.Operator(s.cfg.Tune, s.cfg.Threads, &s.st)
+	op2, err := e.Operator(spmv.NaiveOptions(), s.cfg.Threads, &s.st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRegistryOperatorCache(t *testing.T) {
 	}
 
 	// Different options: a fresh compile.
-	op3, err := e.Operator(spmv.NaiveOptions(), s.cfg.Threads, &s.st)
+	op3, err := e.Operator(spmv.DefaultTuneOptions(), s.cfg.Threads, &s.st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,8 @@ func TestBatcherFusesConcurrentRequests(t *testing.T) {
 }
 
 // TestSingleRequestFallsBack checks the sparse-traffic path: a lone
-// request runs on the per-request parallel operator, not a fused sweep.
+// request runs as a width-1 sweep on the fused path, counted as a single
+// fallback in both the fallback counter and the width histogram.
 func TestSingleRequestFallsBack(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Adaptive = true
@@ -199,7 +200,7 @@ func TestSingleRequestFallsBack(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.SingleFallbacks != 1 || st.FusedWidthHist[1] != 1 {
-		t.Errorf("lone request not served by the single path: %+v", st)
+		t.Errorf("lone request not counted as a width-1 sweep: %+v", st)
 	}
 }
 

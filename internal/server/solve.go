@@ -10,13 +10,11 @@
 // compact residual history.
 //
 // Determinism contract: session sweeps take the width-1 fused path of the
-// entry's current serving snapshot — never the non-deterministic lone
-// fast path — and the solver's reductions run in deterministic
-// ordered-block mode whenever the server is configured Deterministic. In
-// that mode a mid-solve re-tune promotion cannot change trajectory bits:
-// deterministic promotions are restricted to the CSR family, whose wide
-// kernels reproduce the default path's bits at every width (the same
-// guarantee Mul responses rely on), and the ordered reductions are
+// entry's current serving snapshot, and the solver's reductions run in
+// deterministic ordered-block mode. A mid-solve re-tune promotion cannot
+// change trajectory bits: promotions are restricted to the CSR family,
+// whose wide kernels reproduce the default path's bits at every width (the
+// same guarantee Mul responses rely on), and the ordered reductions are
 // invariant to thread count. The solver session state machine is
 //
 //	running ──▶ converged | budget_exhausted | failed
@@ -95,8 +93,9 @@ type SolveStatus struct {
 	// State is the session lifecycle: running, converged,
 	// budget_exhausted, cancelled, or failed.
 	State string `json:"state"`
-	// Deterministic records the mode the session iterates under: ordered
-	// reductions and the bit-stable CSR family path.
+	// Deterministic records that the session iterates with ordered
+	// reductions on the bit-stable serving path. Always true; kept in the
+	// wire document for clients that check it.
 	Deterministic bool    `json:"deterministic"`
 	Iters         int     `json:"iters"`
 	MaxIters      int     `json:"max_iters"`
@@ -130,7 +129,6 @@ type solveSession struct {
 	id           string
 	matrixID     string
 	method       string
-	det          bool
 	tol          float64
 	maxIters     int
 	rows         int
@@ -198,7 +196,7 @@ func (ss *solveSession) snapshot(full bool) SolveStatus {
 	defer ss.mu.Unlock()
 	st := SolveStatus{
 		SID: ss.id, MatrixID: ss.matrixID, Method: ss.method,
-		State: ss.state, Deterministic: ss.det,
+		State: ss.state, Deterministic: true,
 		Iters: ss.iters, MaxIters: ss.maxIters, Tol: ss.tol,
 		Residual: ss.residual, Eigenvalue: ss.lambda, Error: ss.errMsg,
 		ServingGenerationFirst: ss.genFirst, ServingGenerationLast: ss.genLast,
@@ -352,7 +350,7 @@ func (s *Server) Solve(id string, req SolveRequest) (SolveStatus, error) {
 	}
 
 	ss := &solveSession{
-		matrixID: e.ID, method: req.Method, det: s.cfg.Deterministic,
+		matrixID: e.ID, method: req.Method,
 		tol: req.Tol, maxIters: maxIters, rows: e.rows, bytesPerIter: bytesPerIter,
 		created: time.Now(),
 		cancel:  make(chan struct{}), done: make(chan struct{}),
@@ -449,7 +447,7 @@ func (s *Server) clusterSolve(id string, req SolveRequest) (SolveStatus, error) 
 
 	gen := s.cluster.Generation(id)
 	ss := &solveSession{
-		matrixID: id, method: req.Method, det: s.cfg.Deterministic,
+		matrixID: id, method: req.Method,
 		tol: req.Tol, maxIters: maxIters, rows: rows, bytesPerIter: bytesPerIter,
 		created: time.Now(),
 		cancel:  make(chan struct{}), done: make(chan struct{}),
@@ -552,9 +550,9 @@ func (s *Server) runSolve(e *Entry, ss *solveSession, req SolveRequest, maxIters
 	defer close(ss.done)
 
 	// Local apply is the entry's current snapshot, width-1 fused view,
-	// sharded through the pool — exactly what a width-1 deterministic Mul
-	// runs, so solver bits match serving bits and a concurrent promotion
-	// swaps in mid-solve without (in deterministic mode) moving them.
+	// sharded through the pool — exactly what a width-1 Mul runs, so
+	// solver bits match serving bits and a concurrent promotion swaps in
+	// mid-solve without moving them.
 	// sweepDur accumulates the iteration's measured sweep time and
 	// sweepGen the generation that sweep actually ran — the iteration
 	// trace must report the sweep's own snapshot, not whatever e.cur
@@ -600,7 +598,7 @@ func (s *Server) runSolve(e *Entry, ss *solveSession, req SolveRequest, maxIters
 				s.obs.stage.Observe(stageSolveSweep, d)
 				sv.roof.Record(d, sweepBytes)
 			}
-			s.recordSweep(e, sv, 1, false)
+			s.recordSweep(e, sv, 1)
 			sweepGen = sv.gen
 			ss.mu.Lock()
 			ss.genLast = sv.gen
@@ -653,7 +651,7 @@ func (s *Server) runSolve(e *Entry, ss *solveSession, req SolveRequest, maxIters
 	}
 	opt := solve.Options{
 		Tol: ss.tol, MaxIters: maxIters,
-		Threads: s.cfg.Threads, Deterministic: s.cfg.Deterministic,
+		Threads: s.cfg.Threads, Deterministic: true,
 	}
 
 	type stepper interface {
@@ -929,30 +927,3 @@ func (s *Server) handleSolveDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSolveList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Sessions())
 }
-
-// Solve creates a solver session (in-process mirror of POST
-// /v1/matrices/{id}/solve).
-//
-// Deprecated: use SolveOpts, which carries the session's tenant and SLO
-// class as typed options. Solve is exactly SolveOpts with zero options.
-func (c *Client) Solve(id string, req SolveRequest) (SolveStatus, error) {
-	return c.s.Solve(id, req)
-}
-
-// SolveOpts creates a solver session under the admission options
-// (tenant bucket, SLO class); non-empty options override the request's
-// own tenant/class fields.
-func (c *Client) SolveOpts(id string, req SolveRequest, opts SolveOptions) (SolveStatus, error) {
-	return c.s.SolveOpts(id, req, opts)
-}
-
-// SolveStatus polls a session, optionally waiting for it to finish.
-func (c *Client) SolveStatus(sid string, wait time.Duration) (SolveStatus, error) {
-	return c.s.SolveStatus(sid, wait)
-}
-
-// CancelSolve cancels and removes a session.
-func (c *Client) CancelSolve(sid string) (SolveStatus, error) { return c.s.CancelSolve(sid) }
-
-// Sessions lists resident solver sessions.
-func (c *Client) Sessions() []SolveStatus { return c.s.Sessions() }

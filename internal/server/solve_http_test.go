@@ -1,7 +1,7 @@
 // End-to-end HTTP tests of the solver-session API, including the
 // headline retune-safety property: a session that iterates across a
-// forced RetuneOnce promotion in deterministic mode produces the exact
-// trajectory bits of an undisturbed server.
+// forced RetuneOnce promotion produces the exact trajectory bits of an
+// undisturbed server.
 package server
 
 import (
@@ -78,7 +78,7 @@ func lpNormalMatrix(t testing.TB, scale float64, seed int64) *spmv.Matrix {
 // TestSolveHTTPThreadInvariance is the acceptance scenario: a CG session
 // on a symmetric LP-class matrix (the LP twin's normal equations)
 // converges through the HTTP API with bit-identical residual history and
-// solution across server thread counts 1/2/4 in deterministic mode.
+// solution across server thread counts 1/2/4.
 func TestSolveHTTPThreadInvariance(t *testing.T) {
 	m := lpNormalMatrix(t, 0.02, 5)
 	n, _ := m.Dims()
@@ -88,7 +88,6 @@ func TestSolveHTTPThreadInvariance(t *testing.T) {
 	var refFin SolveStatus
 	for _, threads := range []int{1, 2, 4} {
 		cfg := DefaultConfig()
-		cfg.Deterministic = true
 		cfg.Threads = threads
 		cfg.Workers = threads
 		s := New(cfg)
@@ -149,13 +148,12 @@ func httpSolveWait(t *testing.T, base, sid string) SolveStatus {
 	}
 }
 
-// solveServerConfig is the shared deterministic config of the mid-solve
-// promotion test and its undisturbed baseline twin. AutoSymmetric is off
-// so the SPD matrix is served by the general CSR32 path, leaving the
+// solveServerConfig is the shared config of the mid-solve promotion
+// test and its undisturbed baseline twin. AutoSymmetric is off so the SPD
+// matrix is served by the general CSR32 path, leaving the
 // re-tuner its bit-preserving CSR16 promotion.
 func solveServerConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Deterministic = true
 	cfg.AutoSymmetric = false
 	cfg.Threads = 2
 	cfg.Workers = 2

@@ -16,11 +16,10 @@ import (
 // generations — and while other registrations churn the registry
 // (including the auto-symmetric footprint comparison and its loser
 // eviction, and failed registrations backing entries out). Run under
-// -race in CI. The server is deterministic, so every response must stay
+// -race in CI. Serving is deterministic, so every response must stay
 // bitwise identical no matter which snapshot a sweep landed on.
 func TestOperatorSwapRace(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Deterministic = true
 	cfg.Threads = 2
 	cfg.MaxBatch = 8
 	cfg.BatchWindow = 100 * time.Microsecond

@@ -79,10 +79,54 @@ func TestSymmetricRegistration(t *testing.T) {
 	}
 }
 
+// TestAutoSymmetricSuiteFamilies pins the AutoSymmetric rule on the
+// paper's suite: every twin as generated is asymmetric and stays general,
+// every symmetrized square twin's upper-triangle store beats the CSR32
+// that general serving streams and goes symmetric. General registrations
+// compile plain CSR32, so their footprint is exactly the baseline (one
+// thread: a parallel compile adds a few row-pointer bytes per part).
+func TestAutoSymmetricSuiteFamilies(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Threads = 1
+	s := New(cfg)
+	defer s.Close()
+	for _, name := range spmv.SuiteNames() {
+		m, err := spmv.GenerateSuite(name, 0.02, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type regCase struct {
+			id      string
+			m       *spmv.Matrix
+			wantSym bool
+		}
+		cases := []regCase{{name, m, false}}
+		if rows, cols := m.Dims(); rows == cols {
+			sym, err := spmv.Symmetrize(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, regCase{name + "+sym", sym, true})
+		}
+		for _, tc := range cases {
+			info, err := s.Register(tc.id, tc.id, tc.m)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.id, err)
+			}
+			if info.Symmetric != tc.wantSym {
+				t.Errorf("%s: symmetric=%v, want %v (%+v)", tc.id, info.Symmetric, tc.wantSym, info)
+			}
+			if !info.Symmetric && info.Footprint != info.Baseline {
+				t.Errorf("%s: general footprint %d != CSR32 baseline %d", tc.id, info.Footprint, info.Baseline)
+			}
+		}
+	}
+}
+
 // TestSymmetricServingDeterminism: a symmetric matrix served by servers
 // with different thread counts, worker pools, and batch widths returns
-// bitwise-identical responses — the Config.Deterministic contract
-// extended to the symmetric operator.
+// bitwise-identical responses — the serving determinism contract (see
+// Config) extended to the symmetric operator.
 func TestSymmetricServingDeterminism(t *testing.T) {
 	sym := testSymmetric(t, 300, 3000, 4)
 	xs := make([][]float64, 6)
@@ -209,7 +253,7 @@ func TestSymmetricUnderShardedCluster(t *testing.T) {
 		}
 		// Members hold general band entries even with AutoSymmetric on.
 		for _, ms := range members {
-			for _, info := range ms.Client().Matrices() {
+			for _, info := range ms.Matrices() {
 				if info.Symmetric {
 					t.Errorf("K=%d member band %q stored symmetric", k, info.ID)
 				}
@@ -229,7 +273,7 @@ func TestFailedRegistrationFreesID(t *testing.T) {
 	if _, err := s.RegisterOpts("m", "m", asym, RegisterOptions{Symmetric: boolPtr(true)}); !errors.Is(err, ErrNotSymmetric) {
 		t.Fatalf("err = %v, want ErrNotSymmetric", err)
 	}
-	if got := len(s.Client().Matrices()); got != 0 {
+	if got := len(s.Matrices()); got != 0 {
 		t.Errorf("%d entries listed after failed registration, want 0", got)
 	}
 	if st := s.Stats(); st.Registered != 0 {

@@ -247,7 +247,7 @@ func overlayOverheadMetrics(metrics map[string]Metric) {
 			log.Fatal(err)
 		}
 		if withOverlay {
-			if _, err := s.Client().Patch("m", deltas); err != nil {
+			if _, err := s.Patch("m", deltas); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -483,9 +483,9 @@ func routeSkewMetrics(metrics map[string]Metric) {
 }
 
 // symmetricMetrics registers a symmetrized Cantilever twin both general
-// (naive CSR32 tuner) and symmetric (upper-triangle storage), enforces
-// numerical agreement, and reports the deterministic matrix-stream ratio —
-// the acceptance signal that symmetry halves the streamed bytes.
+// (CSR32) and symmetric (upper-triangle storage), enforces numerical
+// agreement, and reports the deterministic matrix-stream ratio — the
+// acceptance signal that symmetry halves the streamed bytes.
 func symmetricMetrics(metrics map[string]Metric) {
 	m, err := spmv.GenerateSuite("FEM/Cantilever", 0.05, 7)
 	if err != nil {
@@ -497,9 +497,7 @@ func symmetricMetrics(metrics map[string]Metric) {
 	}
 	symTrue, symFalse := true, false
 
-	genCfg := pinnedConfig()
-	genCfg.Tune = spmv.NaiveOptions() // the general-CSR twin of the comparison
-	gen := server.New(genCfg)
+	gen := server.New(pinnedConfig())
 	defer gen.Close()
 	ginfo, err := gen.RegisterOpts("m", "cant-sym", sym, server.RegisterOptions{Symmetric: &symFalse})
 	if err != nil {
