@@ -2,8 +2,9 @@
 // the same CG solve is run twice against a live spmv-serve HTTP endpoint —
 //
 //   - naive: the solver loop lives in the client, so every iteration
-//     round-trips one POST /v1/matrices/{id}/mul (the search direction up,
-//     A·p back — two dense vectors of JSON per step);
+//     round-trips one POST /v1/matrices/{id}/mul through server.HTTPClient
+//     (the search direction up, A·p back — two dense binary float64
+//     vectors per step);
 //   - session: one POST /v1/matrices/{id}/solve ships b once, the solver
 //     state stays server-resident (x, r, p, Ap never cross the wire), and
 //     the client polls GET /v1/solve/{sid} for the residual history.
@@ -71,7 +72,7 @@ func main() {
 
 	// Naive: client-side CG, one mul round-trip per iteration.
 	naive := newMeter()
-	x, iters, relres := clientCG(naive, base, b, *tol, *maxIter)
+	x, iters, relres := clientCG(naive, server.NewHTTPClient(base, nil), b, *tol, *maxIter)
 	naiveElapsed := naive.elapsed()
 	fmt.Printf("naive     : %4d iters in %7.1fms  (%6.0f iters/s)  residual %.2e  wire %s\n",
 		iters, ms(naiveElapsed), float64(iters)/naiveElapsed.Seconds(), relres, naive.wire())
@@ -178,7 +179,7 @@ func call(mt *meter, method, url string, body, out any) {
 
 // clientCG is the naive mode: textbook CG with the SpMV outsourced to
 // POST /mul, everything else local.
-func clientCG(mt *meter, base string, b []float64, tol float64, maxIter int) (x []float64, iters int, relres float64) {
+func clientCG(mt *meter, hc *server.HTTPClient, b []float64, tol float64, maxIter int) (x []float64, iters int, relres float64) {
 	n := len(b)
 	x = make([]float64, n)
 	r := append([]float64(nil), b...)
@@ -186,11 +187,11 @@ func clientCG(mt *meter, base string, b []float64, tol float64, maxIter int) (x 
 	rr := dot(r, r)
 	bnorm := math.Sqrt(rr)
 	for iters = 0; iters < maxIter && math.Sqrt(rr)/bnorm > tol; iters++ {
-		var mul struct {
-			Y []float64 `json:"y"`
+		ap, err := hc.MulOpts("poisson", p, server.MulOptions{})
+		if err != nil {
+			log.Fatal(err)
 		}
-		call(mt, "POST", base+"/v1/matrices/poisson/mul", map[string]any{"x": p}, &mul)
-		ap := mul.Y
+		mt.bytes += 8 * int64(len(p)+len(ap)) // binary bodies, both directions
 		alpha := rr / dot(p, ap)
 		for i := range x {
 			x[i] += alpha * p[i]

@@ -91,6 +91,7 @@ var sentinelByCode = map[string]error{
 	"deadline_exceeded":  ErrDeadlineExceeded,
 	"method_not_allowed": ErrMethodNotAllowed,
 	"sharded_immutable":  ErrShardedImmutable,
+	"non_finite_result":  ErrNonFiniteResult,
 }
 
 // apiError rebuilds a typed error from one error-envelope response.
@@ -167,20 +168,22 @@ func (hc *HTTPClient) RegisterSuite(id, suite string, scale float64, seed int64)
 }
 
 // MulOpts computes y = A·x on the remote server under the request
-// options (tenant admission, SLO class, deadline).
+// options (tenant admission, SLO class, deadline). x and y cross the wire
+// in the binary tier, so every IEEE-754 value arrives bit for bit.
 func (hc *HTTPClient) MulOpts(id string, x []float64, opts MulOptions) ([]float64, error) {
-	req := mulRequest{
-		X:          x,
-		Tenant:     opts.Tenant,
-		Class:      opts.Class,
-		DeadlineMS: int64(opts.Deadline / time.Millisecond),
-		Affinity:   opts.Affinity,
-	}
-	var resp mulResponse
-	if err := hc.do(http.MethodPost, "/v1/matrices/"+url.PathEscape(id)+"/mul", req, &resp); err != nil {
+	req, err := newBinaryMul(hc.base+"/v1/matrices/"+url.PathEscape(id)+"/mul"+mulQuery(opts), x)
+	if err != nil {
 		return nil, err
 	}
-	return resp.Y, nil
+	r, err := hc.c.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("server %s: %w", hc.base, err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode >= 300 {
+		return nil, hc.apiError(r)
+	}
+	return readFloats(r)
 }
 
 // Mul computes y = A·x with zero options.

@@ -40,4 +40,7 @@ var (
 	// registrations are immutable — PATCH is only served by local entries
 	// (409).
 	ErrShardedImmutable = errors.New("server: sharded matrices are immutable")
+	// ErrNonFiniteResult: a Mul result holds ±Inf or NaN, which the JSON
+	// tier cannot spell; the binary tier carries it (422).
+	ErrNonFiniteResult = errors.New("server: non-finite result")
 )

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -138,26 +140,12 @@ func FuzzMulJSON(f *testing.F) {
 	f.Add(`[]`)
 	f.Add(`"x"`)
 	f.Add(`{"x":[1,2,3,4]`)
+	// A finite x whose y overflows: JSON cannot spell the +Inf.
+	f.Add(`{"x":[1e308,1,1,1]}`)
 
 	f.Fuzz(func(t *testing.T, body string) {
-		cfg := DefaultConfig()
-		cfg.Threads = 1
-		cfg.Workers = 1
-		cfg.MaxBatch = 1
-		cfg.MaxBodyBytes = 1 << 16
-		s := New(cfg)
+		s := newTinyMulServer(t)
 		defer s.Close()
-		m := spmv.NewMatrix(4, 4)
-		for i := 0; i < 4; i++ {
-			_ = m.Set(i, i, 2)
-			if i > 0 {
-				_ = m.Set(i, i-1, -1)
-				_ = m.Set(i-1, i, -1)
-			}
-		}
-		if _, err := s.Register("a", "tiny", m); err != nil {
-			t.Fatal(err)
-		}
 
 		req := httptest.NewRequest("POST", "/v1/matrices/a/mul", strings.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -197,12 +185,30 @@ func TestMulFuzzSeedsStatuses(t *testing.T) {
 		{`{"x":[1,2]}`, 400},
 		{`{"x":[1,2,3,4]`, 400},
 		{`{}`, 400},
+		{`{"x":[1e308,1,1,1]}`, 422}, // y[0] = +Inf: non_finite_result
 	}
+	s := newTinyMulServer(t)
+	defer s.Close()
+	for _, tc := range cases {
+		req := httptest.NewRequest("POST", "/v1/matrices/a/mul", strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("body %q: status %d, want %d (%s)", tc.body, rec.Code, tc.want, rec.Body.String())
+		}
+	}
+}
+
+// newTinyMulServer returns a single-threaded server with a small body cap
+// and the 4x4 tridiagonal (2 on the diagonal, -1 beside it) registered
+// as "a": the Mul fuzzers' target.
+func newTinyMulServer(t testing.TB) *Server {
 	cfg := DefaultConfig()
 	cfg.Threads = 1
 	cfg.Workers = 1
+	cfg.MaxBatch = 1
+	cfg.MaxBodyBytes = 1 << 16 // bound hostile payload cost per exec
 	s := New(cfg)
-	defer s.Close()
 	m := spmv.NewMatrix(4, 4)
 	for i := 0; i < 4; i++ {
 		_ = m.Set(i, i, 2)
@@ -212,14 +218,159 @@ func TestMulFuzzSeedsStatuses(t *testing.T) {
 		}
 	}
 	if _, err := s.Register("a", "tiny", m); err != nil {
+		s.Close()
 		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		req := httptest.NewRequest("POST", "/v1/matrices/a/mul", strings.NewReader(tc.body))
+	return s
+}
+
+// floatBytes is the binary-tier encoding of v.
+func floatBytes(v ...float64) []byte { return appendFloats(nil, v) }
+
+// FuzzMulBinary exercises the binary tier of POST /v1/matrices/{id}/mul —
+// raw body bytes, the query-string options and the Content-Type that
+// selects the tier — with Accept: application/octet-stream: the handler
+// must never panic, a 200 must be an octet-stream of exactly 8·rows
+// bytes, and anything else an error status with the JSON envelope.
+func FuzzMulBinary(f *testing.F) {
+	ok := floatBytes(1, 2, 3, 4)
+	// Well-formed requests: bare, with every option, media-type params.
+	f.Add(ok, "", mimeOctetStream)
+	f.Add(ok, "tenant=acme&class=latency&deadline_ms=5000&affinity=k", mimeOctetStream)
+	f.Add(ok, "", "Application/Octet-Stream; charset=binary")
+	// Every IEEE-754 class crosses: ±0, subnormal, ±Inf, NaN.
+	f.Add(floatBytes(math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Inf(1), math.NaN()), "", mimeOctetStream)
+	// Length breakage: ragged, short by one float, empty.
+	f.Add(ok[:31], "", mimeOctetStream)
+	f.Add(ok[:24], "", mimeOctetStream)
+	f.Add([]byte{}, "", mimeOctetStream)
+	// Option validation: unknown and repeated keys, bad deadlines, bad
+	// escapes, unknown class.
+	f.Add(ok, "tennant=acme", mimeOctetStream)
+	f.Add(ok, "tenant=a&tenant=b", mimeOctetStream)
+	f.Add(ok, "deadline_ms=-1", mimeOctetStream)
+	f.Add(ok, "deadline_ms=soon", mimeOctetStream)
+	f.Add(ok, "deadline_ms=9223372036854775807", mimeOctetStream)
+	f.Add(ok, "tenant=%zz", mimeOctetStream)
+	f.Add(ok, "class=interactive", mimeOctetStream)
+	// Other Content-Types take the JSON tier.
+	f.Add([]byte(`{"x":[1,2,3,4]}`), "", "application/json")
+	f.Add(ok, "", "")
+
+	f.Fuzz(func(t *testing.T, body []byte, query, contentType string) {
+		s := newTinyMulServer(t)
+		defer s.Close()
+
+		req := httptest.NewRequest("POST", "/v1/matrices/a/mul", bytes.NewReader(body))
+		req.URL.RawQuery = query
+		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Accept", mimeOctetStream)
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)
+
+		code := rec.Code
+		if code == 200 {
+			if ct := rec.Header().Get("Content-Type"); ct != mimeOctetStream {
+				t.Fatalf("200 with Content-Type %q", ct)
+			}
+			if n := rec.Body.Len(); n != 8*4 {
+				t.Fatalf("200 with a %d-byte body, want %d", n, 8*4)
+			}
+			return
+		}
+		if code < 400 || code > 599 {
+			t.Fatalf("status %d, want 200 or an error status", code)
+		}
+		var parsed map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &parsed); err != nil {
+			t.Fatalf("non-JSON error response %q: %v", rec.Body.String(), err)
+		}
+		if _, ok := parsed["error"]; !ok {
+			t.Fatalf("error status %d without an error field: %q", code, rec.Body.String())
+		}
+	})
+}
+
+// TestMulBinaryStatuses pins the binary tier's documented statuses and
+// error codes, and that its replies carry the exact bits.
+func TestMulBinaryStatuses(t *testing.T) {
+	ok := floatBytes(1, 2, 3, 4)
+	cases := []struct {
+		name        string
+		body        []byte
+		query       string
+		contentType string
+		accept      string
+		chunked     bool // no Content-Length
+		want        int
+		code        string // envelope code of an error
+	}{
+		{"bare", ok, "", mimeOctetStream, mimeOctetStream, false, 200, ""},
+		{"options", ok, "tenant=acme&class=latency&deadline_ms=5000&affinity=k", mimeOctetStream, mimeOctetStream, false, 200, ""},
+		{"media params", ok, "", "application/octet-stream; charset=binary", "application/json;q=0.5, application/octet-stream", false, 200, ""},
+		{"json reply", ok, "", mimeOctetStream, "", false, 200, ""},
+		{"json request, binary reply", []byte(`{"x":[1,2,3,4]}`), "", "application/json", mimeOctetStream, false, 200, ""},
+		{"ragged", ok[:31], "", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"wrong count", ok[:24], "", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"empty", nil, "", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"unknown key", ok, "tennant=acme", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"repeated key", ok, "tenant=a&tenant=b", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"negative deadline", ok, "deadline_ms=-1", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"malformed deadline", ok, "deadline_ms=soon", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"overflowing deadline", ok, "deadline_ms=9223372036854775807", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"bad escape", ok, "tenant=%zz", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"unknown class", ok, "class=interactive", mimeOctetStream, mimeOctetStream, false, 400, "bad_request"},
+		{"no length", ok, "", mimeOctetStream, mimeOctetStream, true, 411, "length_required"},
+		{"too large", make([]byte, 1<<16+8), "", mimeOctetStream, mimeOctetStream, false, 413, "payload_too_large"},
+		{"overflow, json reply", floatBytes(1e308, 1, 1, 1), "", mimeOctetStream, "", false, 422, "non_finite_result"},
+		{"overflow, binary reply", floatBytes(1e308, 1, 1, 1), "", mimeOctetStream, mimeOctetStream, false, 200, ""},
+	}
+	s := newTinyMulServer(t)
+	defer s.Close()
+	h := s.Handler()
+	for _, tc := range cases {
+		req := httptest.NewRequest("POST", "/v1/matrices/a/mul", bytes.NewReader(tc.body))
+		req.URL.RawQuery = tc.query
+		req.Header.Set("Content-Type", tc.contentType)
+		if tc.accept != "" {
+			req.Header.Set("Accept", tc.accept)
+		}
+		if tc.chunked {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
 		if rec.Code != tc.want {
-			t.Errorf("body %q: status %d, want %d (%s)", tc.body, rec.Code, tc.want, rec.Body.String())
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
+			continue
+		}
+		if tc.want != 200 {
+			var e errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code != tc.code {
+				t.Errorf("%s: envelope %q, want code %q", tc.name, rec.Body.String(), tc.code)
+			}
+			continue
+		}
+		var sent mulRequest
+		if err := json.Unmarshal(tc.body, &sent); err != nil {
+			if sent.X, err = decodeFloats(tc.body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := s.MulOpts("a", sent.X, MulOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		if acceptsOctetStream(tc.accept) {
+			got, err = decodeFloats(rec.Body.Bytes())
+		} else {
+			var resp mulResponse
+			err = json.Unmarshal(rec.Body.Bytes(), &resp)
+			got = resp.Y
+		}
+		if err != nil || !sameBits(got, want) {
+			t.Errorf("%s: y = %v (%v), want %v", tc.name, got, err, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -110,6 +111,8 @@ func errorCode(status int, err error) string {
 		return "method_not_allowed"
 	case errors.Is(err, ErrShardedImmutable):
 		return "sharded_immutable"
+	case errors.Is(err, ErrNonFiniteResult):
+		return "non_finite_result"
 	}
 	switch status {
 	case http.StatusNotFound:
@@ -118,6 +121,8 @@ func errorCode(status int, err error) string {
 		return "method_not_allowed"
 	case http.StatusConflict:
 		return "conflict"
+	case http.StatusLengthRequired:
+		return "length_required"
 	case http.StatusRequestEntityTooLarge:
 		return "payload_too_large"
 	case http.StatusTooManyRequests:
@@ -126,6 +131,8 @@ func errorCode(status int, err error) string {
 		return "bad_gateway"
 	case http.StatusGatewayTimeout:
 		return "gateway_timeout"
+	case http.StatusInternalServerError:
+		return "internal"
 	default:
 		return "bad_request"
 	}
@@ -210,10 +217,21 @@ func (s *Server) routes() []route {
 	}
 }
 
+// writeJSON marshals v before committing the status, so a value the
+// encoder cannot represent becomes a 500 envelope rather than a success
+// status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(errorResponse{Error: errorBody{ // an errorBody always marshals
+			Code:    errorCode(code, err),
+			Message: "encoding the response: " + err.Error(),
+		}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n')) // a failed write is the client's hang-up
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -438,24 +456,16 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMul(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req mulRequest
-	if !s.decodeBody(w, r, &req) {
+	t0 := s.stageClock()
+	x, opts, ok := s.decodeMul(w, r)
+	if !ok {
 		return
 	}
-	if req.DeadlineMS < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("negative deadline_ms %d", req.DeadlineMS))
-		return
-	}
-	opts := MulOptions{
-		Tenant:   req.Tenant,
-		Class:    req.Class,
-		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
-		Affinity: req.Affinity,
-	}
+	s.observeStage(stageDecode, t0)
 	// MulOpts routes sharded ids through the cluster front itself, so
 	// sharded and local requests share one admission path (tenant bucket,
 	// priority gate, deadline) and one error surface.
-	y, err := s.MulOpts(id, req.X, opts)
+	y, err := s.MulOpts(id, x, opts)
 	if err != nil {
 		code := http.StatusBadRequest
 		switch {
@@ -475,7 +485,85 @@ func (s *Server) handleMul(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, mulResponse{Y: y})
+	t1 := s.stageClock()
+	if acceptsOctetStream(r.Header.Get("Accept")) {
+		w.Header().Set("Content-Type", mimeOctetStream)
+		w.Header().Set("Content-Length", strconv.Itoa(8*len(y)))
+		_, _ = w.Write(appendFloats(make([]byte, 0, 8*len(y)), y)) // a failed write is the client's hang-up
+	} else {
+		// JSON has no spelling for ±Inf or NaN; say so instead of
+		// answering with a body the encoder could not finish.
+		for i, v := range y {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				writeError(w, http.StatusUnprocessableEntity, fmt.Errorf(
+					"%w: y[%d] = %v cannot be encoded as JSON; request Accept: %s to receive every IEEE-754 value",
+					ErrNonFiniteResult, i, v, mimeOctetStream))
+				return
+			}
+		}
+		writeJSON(w, http.StatusOK, mulResponse{Y: y})
+	}
+	s.observeStage(stageEncode, t1)
+}
+
+// decodeMul reads x and the request options in the encoding the
+// Content-Type names: application/octet-stream is the binary tier (x as
+// the body, options in the query string); anything else is the JSON
+// tier. On failure the error response has already been written.
+func (s *Server) decodeMul(w http.ResponseWriter, r *http.Request) ([]float64, MulOptions, bool) {
+	if !isOctetStream(r.Header.Get("Content-Type")) {
+		var req mulRequest
+		if !s.decodeBody(w, r, &req) {
+			return nil, MulOptions{}, false
+		}
+		if req.DeadlineMS < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("negative deadline_ms %d", req.DeadlineMS))
+			return nil, MulOptions{}, false
+		}
+		return req.X, MulOptions{
+			Tenant:   req.Tenant,
+			Class:    req.Class,
+			Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
+			Affinity: req.Affinity,
+		}, true
+	}
+	opts, err := parseMulQuery(r.URL.RawQuery)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, MulOptions{}, false
+	}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return nil, MulOptions{}, false
+	}
+	x, err := decodeFloats(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, MulOptions{}, false
+	}
+	return x, opts, true
+}
+
+// readBody reads a request body into one buffer sized from its declared
+// Content-Length, under the server's size cap. On failure the 400, 411
+// or 413 response has already been written.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	n := r.ContentLength
+	if n < 0 {
+		writeError(w, http.StatusLengthRequired, errors.New("a binary request body needs a Content-Length"))
+		return nil, false
+	}
+	if n > s.cfg.MaxBodyBytes {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", s.cfg.MaxBodyBytes))
+		return nil, false
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), body); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return nil, false
+	}
+	return body, true
 }
 
 // patchRequest is the body of PATCH /v1/matrices/{id}: one atomic,
@@ -661,7 +749,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		e.HistogramFamily("spmv_http_request_duration_seconds",
 			"HTTP request latency by endpoint.", s.obs.endpoint.Series("endpoint"))
 		e.HistogramFamily("spmv_serve_stage_duration_seconds",
-			"Serving pipeline stage latency (queue, interleave, execute, gather, solve_iter, solve_sweep).",
+			"Serving pipeline stage latency (decode, queue, interleave, execute, gather, encode, solve_iter, solve_sweep).",
 			s.obs.stage.Series("stage"))
 		e.HistogramFamily("spmv_serve_mul_duration_seconds",
 			"Mul latency by matrix, admission to reply.", s.obs.matrix.Series("id"))

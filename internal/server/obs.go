@@ -28,6 +28,8 @@ const DefaultObsRing = 256
 // Serving-stage names: the spans of a Mul request's timeline and the
 // histogram labels of the per-stage latency surface.
 const (
+	stageDecode     = "decode"     // HTTP Mul: request body read and x decoded (either wire encoding)
+	stageEncode     = "encode"     // HTTP Mul: y encoded and the reply written
 	stageQueue      = "queue"      // batcher admission -> sweep start (linger + backlog)
 	stageInterleave = "interleave" // batch formation: gathering x vectors into the fused block
 	stageExecute    = "execute"    // worker-pool sweep execution
@@ -58,6 +60,21 @@ func newObsState(cfg Config) *obsState {
 	return &obsState{
 		ring:    obs.NewRing(ringSize),
 		sampler: obs.NewSampler(cfg.ObsSample),
+	}
+}
+
+// stageClock starts timing a stage, taking no timestamp when
+// observability is off; observeStage records the stage from that start.
+func (s *Server) stageClock() time.Time {
+	if s.obs == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (s *Server) observeStage(stage string, start time.Time) {
+	if s.obs != nil {
+		s.obs.stage.Observe(stage, time.Since(start))
 	}
 }
 

@@ -140,6 +140,56 @@ func TestMetricsParserValid(t *testing.T) {
 	}
 }
 
+// TestWireStagesRecorded checks that the decode and encode stages
+// attribute the wire layer for both encodings: after one JSON Mul each
+// stage has one sample, after one binary Mul two, in /v1/stats and in
+// the /metrics stage histogram.
+func TestWireStagesRecorded(t *testing.T) {
+	s := New(obsConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	id := registerTiny(t, ts.URL)
+
+	check := func(want uint64) {
+		t.Helper()
+		lat := s.Latency()
+		metResp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseExposition(metResp.Body)
+		metResp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]float64{}
+		for _, smp := range fams["spmv_serve_stage_duration_seconds"].Samples {
+			if smp.Name == "spmv_serve_stage_duration_seconds_count" {
+				counts[smp.Labels["stage"]] = smp.Value
+			}
+		}
+		for _, stage := range []string{stageDecode, stageEncode} {
+			if got := lat.Stage[stage].Count; got != want {
+				t.Errorf("/v1/stats stage %q count %d, want %d", stage, got, want)
+			}
+			if got := counts[stage]; got != float64(want) {
+				t.Errorf("/metrics stage %q _count %g, want %d", stage, got, want)
+			}
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/matrices/"+id+"/mul", mulRequest{X: []float64{1, 2, 3}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("JSON mul status %d", resp.StatusCode)
+	}
+	check(1)
+	if _, err := NewHTTPClient(ts.URL, nil).MulOpts(id, []float64{1, 2, 3}, MulOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check(2)
+}
+
 // TestTracesSpansTileWall pulls the sampled traces and checks the
 // acceptance invariant: each trace's stage durations are contiguous and
 // sum to exactly its recorded wall time, and the wall time is bounded by

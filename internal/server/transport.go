@@ -111,23 +111,28 @@ func (t *HTTPTransport) post(path string, req, resp any) error {
 	}
 	defer r.Body.Close()
 	if r.StatusCode >= 300 {
-		detail := fmt.Sprintf("status %d", r.StatusCode)
-		var e errorResponse
-		if json.NewDecoder(r.Body).Decode(&e) == nil && e.Error.Message != "" {
-			detail = e.Error.Message
-		}
-		// Restore the sentinel the member's HTTP layer encoded as a
-		// status code, so the coordinator's error classification does not
-		// depend on remote error strings.
-		switch r.StatusCode {
-		case http.StatusNotFound:
-			return fmt.Errorf("%w: member %s: %s", ErrUnknownMatrix, t.base, detail)
-		case http.StatusConflict:
-			return fmt.Errorf("%w: member %s: %s", ErrAlreadyRegistered, t.base, detail)
-		}
-		return fmt.Errorf("server: member %s: %s", t.base, detail)
+		return t.memberError(r)
 	}
 	return json.NewDecoder(r.Body).Decode(resp)
+}
+
+// memberError rebuilds an error from one member error response, restoring
+// the sentinel the member's HTTP layer encoded as a status code, so the
+// coordinator's error classification does not depend on remote error
+// strings.
+func (t *HTTPTransport) memberError(r *http.Response) error {
+	detail := fmt.Sprintf("status %d", r.StatusCode)
+	var e errorResponse
+	if json.NewDecoder(r.Body).Decode(&e) == nil && e.Error.Message != "" {
+		detail = e.Error.Message
+	}
+	switch r.StatusCode {
+	case http.StatusNotFound:
+		return fmt.Errorf("%w: member %s: %s", ErrUnknownMatrix, t.base, detail)
+	case http.StatusConflict:
+		return fmt.Errorf("%w: member %s: %s", ErrAlreadyRegistered, t.base, detail)
+	}
+	return fmt.Errorf("server: member %s: %s", t.base, detail)
 }
 
 // Register ships the band as MatrixMarket and registers it remotely,
@@ -145,13 +150,22 @@ func (t *HTTPTransport) Register(id, name string, m *spmv.Matrix) (MatrixInfo, e
 	return info, err
 }
 
-// Mul posts x to the member's mul endpoint.
+// Mul posts x to the member's mul endpoint in the binary tier, so the
+// gathered band rows are the member's bits exactly.
 func (t *HTTPTransport) Mul(id string, x []float64) ([]float64, error) {
-	var resp mulResponse
-	if err := t.post("/v1/matrices/"+id+"/mul", mulRequest{X: x}, &resp); err != nil {
+	req, err := newBinaryMul(t.base+"/v1/matrices/"+id+"/mul", x)
+	if err != nil {
 		return nil, err
 	}
-	return resp.Y, nil
+	r, err := t.c.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("server: member %s: %w", t.base, err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode >= 300 {
+		return nil, t.memberError(r)
+	}
+	return readFloats(r)
 }
 
 // Unregister deletes the band on the remote member.
@@ -166,15 +180,7 @@ func (t *HTTPTransport) Unregister(id string) error {
 	}
 	defer r.Body.Close()
 	if r.StatusCode >= 300 {
-		detail := fmt.Sprintf("status %d", r.StatusCode)
-		var e errorResponse
-		if json.NewDecoder(r.Body).Decode(&e) == nil && e.Error.Message != "" {
-			detail = e.Error.Message
-		}
-		if r.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("%w: member %s: %s", ErrUnknownMatrix, t.base, detail)
-		}
-		return fmt.Errorf("server: member %s: %s", t.base, detail)
+		return t.memberError(r)
 	}
 	return nil
 }
