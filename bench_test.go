@@ -354,8 +354,9 @@ func BenchmarkAblationBCOOvsBCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMultiVec measures the multiple-vectors amortization:
-// Gflop/s should grow with k as the matrix stream is shared.
+// BenchmarkAblationMultiVec measures the multiple-vectors amortization
+// of the wide CSR kernel: Gflop/s should grow with k as the matrix stream
+// is shared.
 func BenchmarkAblationMultiVec(b *testing.B) {
 	coo, err := gen.GenerateByName("FEM/Harbor", 0.05, 3)
 	if err != nil {
@@ -367,7 +368,7 @@ func BenchmarkAblationMultiVec(b *testing.B) {
 	}
 	for _, nv := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("k=%d", nv), func(b *testing.B) {
-			mv, err := kernel.NewMultiVec(csr, nv)
+			w, err := kernel.NewWide(csr, nv)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -378,7 +379,7 @@ func BenchmarkAblationMultiVec(b *testing.B) {
 			y := make([]float64, csr.R*nv)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := mv.MulAdd(y, x); err != nil {
+				if err := w.MulAddBlock(y, x); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,8 @@
 // spmv-serve runs the SpMV serving subsystem as an HTTP service: a matrix
 // registry (operators compiled once, re-tuned online), an adaptive batcher
 // that coalesces concurrent single-vector requests into fused multi-RHS
-// sweeps, and a worker pool sharded over nonzero-balanced row partitions.
+// sweeps, and a worker pool running each sweep's nonzero-balanced row
+// parts (-threads of them) concurrently.
 //
 // With -members or -peers the server additionally fronts a shard
 // coordinator: registering a matrix with "shards": K splits it into
@@ -36,17 +37,26 @@
 //	GET  /v1/healthz           liveness
 //	GET  /v1/buildinfo         module, version, Go version, VCS revision
 //	GET  /metrics              Prometheus text exposition (counters + latency histograms)
+//
+// SIGINT or SIGTERM drains the server: it stops accepting connections,
+// lets in-flight requests finish (up to drainTimeout), then stops the
+// serving subsystem.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	spmv "repro"
@@ -54,55 +64,89 @@ import (
 	"repro/internal/server"
 )
 
+// idleTimeout closes keep-alive connections idle this long, so abandoned
+// clients cannot pin descriptors; drainTimeout bounds how long a shutdown
+// waits for in-flight requests before dropping them.
+const (
+	idleTimeout  = 2 * time.Minute
+	drainTimeout = 30 * time.Second
+)
+
+// errUsage marks command-line errors, which exit with status 2 like the
+// flag package's own.
+var errUsage = errors.New("usage")
+
 func main() {
-	addr := flag.String("addr", ":8707", "listen address")
-	threads := flag.Int("threads", 0, "parallel width of the per-request path (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "sweep pool workers (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "row shards per fused sweep (0 = workers)")
-	maxBatch := flag.Int("max-batch", 8, "widest fused sweep (1 disables batching)")
-	window := flag.Duration("batch-window", 200*time.Microsecond, "batch linger window")
-	adaptive := flag.Bool("adaptive", true, "skip the linger for lone requests when traffic is sparse")
-	autoSymmetric := flag.Bool("auto-symmetric", true, "serve numerically symmetric matrices from upper-triangle storage (half the matrix stream); per-request \"symmetric\" overrides")
-	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap, 413 beyond it (0 = 256 MiB); raise on members sharding very large matrices")
-	maxSweeps := flag.Int("max-concurrent-sweeps", 0, "concurrent sweep limit (0 = workers)")
-	maxSessions := flag.Int("max-sessions", 0, "resident solver-session cap, 429 beyond it (0 = 16)")
-	retuneInterval := flag.Duration("retune-interval", 30*time.Second, "online re-tune scan interval; 0 disables workload-aware re-tuning")
-	retuneDrift := flag.Float64("retune-drift", server.DefaultRetuneDrift, "fused-width drift (1 - min/max) that triggers a re-tune evaluation")
-	recompactThreshold := flag.Float64("recompact-threshold", server.DefaultRecompactThreshold, "overlay-to-matrix modeled-bytes ratio that triggers background delta recompaction (negative disables)")
-	members := flag.Int("members", 0, "in-process shard member nodes (forms a cluster; for demos and smoke tests)")
-	peers := flag.String("peers", "", "comma-separated member base URLs (http://host:port) forming a cluster")
-	replicas := flag.Int("replicas", 1, "member replicas per shard band")
-	ejectAfter := flag.Int("eject-after", 3, "consecutive member failures before ejection from routing")
-	routePolicy := flag.String("route-policy", "round-robin", "replica routing policy: round-robin, least-loaded, weighted, or affinity")
-	probeInterval := flag.Duration("probe-interval", server.DefaultProbeInterval, "base backoff before an ejected member's half-open recovery probe (doubles per failed probe, capped at 30s)")
-	rebalanceSkew := flag.Float64("rebalance-skew", 0, "Jain fairness threshold on per-member served bytes below which row bands are re-split online (0 disables)")
-	preload := flag.String("preload", "", "comma-separated suite matrices to register at startup, name[:scale[:shards]] each")
-	seed := flag.Int64("seed", 1, "generator seed for preloaded matrices")
-	obsSample := flag.Int("obs-sample", server.DefaultObsSample, "trace 1 in N requests into the /v1/traces ring; 0 disables the observability layer entirely")
-	obsRing := flag.Int("obs-ring", server.DefaultObsRing, "sampled-trace ring capacity")
-	rooflineGBs := flag.Float64("roofline-gbs", 0, "sustained DRAM bandwidth reference for roofline attribution, GB/s (0 = the paper's AMD X2 socket, ~6.6)")
-	schedOn := flag.Bool("sched", false, "enable the SLO class scheduler (priority + SJF + aging batch formation)")
-	defaultClass := flag.String("default-class", "standard", "SLO class for requests that do not name one: latency, standard, or bulk")
-	admitRate := flag.Float64("admit-bytes-per-sec", 0, "default per-tenant admission rate in modeled DRAM bytes/s (0 = unmetered)")
-	admitBurst := flag.Int64("admit-burst", 0, "default per-tenant admission burst in modeled bytes (0 = 2s at the rate)")
-	schedAging := flag.Duration("sched-aging", 0, "queue wait that promotes a request one SLO class, preventing bulk starvation (0 = 100ms)")
-	tenants := flag.String("tenants", "", "per-tenant admission overrides, name:bytes_per_sec[:burst] comma-separated")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error (debug logs every request)")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables); keep it off the public listener")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], nil)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, "spmv-serve:", err)
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "spmv-serve:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, builds the server (and its cluster, if any), and
+// serves until ctx is cancelled; then it drains in-flight requests and
+// stops the serving subsystem. ready, when non-nil, receives the bound
+// listen address once the listener is up.
+func run(ctx context.Context, args []string, ready func(addr string)) error {
+	fs := flag.NewFlagSet("spmv-serve", flag.ContinueOnError)
+	addr := fs.String("addr", ":8707", "listen address")
+	threads := fs.Int("threads", 0, "parallel width: row parts per fused sweep and solver BLAS width (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "sweep pool workers (0 = GOMAXPROCS)")
+	maxBatch := fs.Int("max-batch", 8, "widest fused sweep (1 disables batching)")
+	window := fs.Duration("batch-window", 200*time.Microsecond, "batch linger window")
+	adaptive := fs.Bool("adaptive", true, "skip the linger for lone requests when traffic is sparse")
+	autoSymmetric := fs.Bool("auto-symmetric", true, "serve numerically symmetric matrices from upper-triangle storage (half the matrix stream); per-request \"symmetric\" overrides")
+	maxBodyBytes := fs.Int64("max-body-bytes", 0, "request body cap, 413 beyond it (0 = 256 MiB); raise on members sharding very large matrices")
+	maxSweeps := fs.Int("max-concurrent-sweeps", 0, "concurrent sweep limit (0 = workers)")
+	maxSessions := fs.Int("max-sessions", 0, "resident solver-session cap, 429 beyond it (0 = 16)")
+	retuneInterval := fs.Duration("retune-interval", 30*time.Second, "online re-tune scan interval; 0 disables workload-aware re-tuning")
+	retuneDrift := fs.Float64("retune-drift", server.DefaultRetuneDrift, "fused-width drift (1 - min/max) that triggers a re-tune evaluation")
+	recompactThreshold := fs.Float64("recompact-threshold", server.DefaultRecompactThreshold, "overlay-to-matrix modeled-bytes ratio that triggers background delta recompaction (negative disables)")
+	members := fs.Int("members", 0, "in-process shard member nodes (forms a cluster; for demos and smoke tests)")
+	peers := fs.String("peers", "", "comma-separated member base URLs (http://host:port) forming a cluster")
+	replicas := fs.Int("replicas", 1, "member replicas per shard band")
+	ejectAfter := fs.Int("eject-after", 3, "consecutive member failures before ejection from routing")
+	routePolicy := fs.String("route-policy", "round-robin", "replica routing policy: round-robin, least-loaded, weighted, or affinity")
+	probeInterval := fs.Duration("probe-interval", server.DefaultProbeInterval, "base backoff before an ejected member's half-open recovery probe (doubles per failed probe, capped at 30s)")
+	rebalanceSkew := fs.Float64("rebalance-skew", 0, "Jain fairness threshold on per-member served bytes below which row bands are re-split online (0 disables)")
+	preload := fs.String("preload", "", "comma-separated suite matrices to register at startup, name[:scale[:shards]] each")
+	seed := fs.Int64("seed", 1, "generator seed for preloaded matrices")
+	obsSample := fs.Int("obs-sample", server.DefaultObsSample, "trace 1 in N requests into the /v1/traces ring; 0 disables the observability layer entirely")
+	obsRing := fs.Int("obs-ring", server.DefaultObsRing, "sampled-trace ring capacity")
+	rooflineGBs := fs.Float64("roofline-gbs", 0, "sustained DRAM bandwidth reference for roofline attribution, GB/s (0 = the paper's AMD X2 socket, ~6.6)")
+	schedOn := fs.Bool("sched", false, "enable the SLO class scheduler (priority + SJF + aging batch formation)")
+	defaultClass := fs.String("default-class", "standard", "SLO class for requests that do not name one: latency, standard, or bulk")
+	admitRate := fs.Float64("admit-bytes-per-sec", 0, "default per-tenant admission rate in modeled DRAM bytes/s (0 = unmetered)")
+	admitBurst := fs.Int64("admit-burst", 0, "default per-tenant admission burst in modeled bytes (0 = 2s at the rate)")
+	schedAging := fs.Duration("sched-aging", 0, "queue wait that promotes a request one SLO class, preventing bulk starvation (0 = 100ms)")
+	tenants := fs.String("tenants", "", "per-tenant admission overrides, name:bytes_per_sec[:burst] comma-separated")
+	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error (debug logs every request)")
+	logFormat := fs.String("log-format", "text", "log output format: text or json")
+	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables); keep it off the public listener")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	logger, err := buildLogger(*logLevel, *logFormat)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spmv-serve:", err)
-		os.Exit(2)
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	slog.SetDefault(logger)
 
 	cfg := server.DefaultConfig()
 	cfg.Threads = *threads
 	cfg.Workers = *workers
-	cfg.Shards = *shards
 	cfg.MaxBatch = *maxBatch
 	cfg.BatchWindow = *window
 	cfg.Adaptive = *adaptive
@@ -119,8 +163,7 @@ func main() {
 	cfg.Logger = logger
 	cfg.Sched, err = buildSchedConfig(*schedOn, *defaultClass, *admitRate, *admitBurst, *schedAging, *tenants)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spmv-serve:", err)
-		os.Exit(2)
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	s := server.New(cfg)
 	defer s.Close()
@@ -143,7 +186,7 @@ func main() {
 	if len(transports) > 0 {
 		policy, err := server.ParseRoutePolicy(*routePolicy)
 		if err != nil {
-			fatal(logger, "bad -route-policy", err)
+			return fmt.Errorf("%w: -route-policy: %w", errUsage, err)
 		}
 		cluster, err := server.NewCluster(transports, server.ClusterConfig{
 			Replicas: *replicas, EjectAfter: *ejectAfter,
@@ -152,7 +195,7 @@ func main() {
 			RebalanceSkew: *rebalanceSkew,
 		})
 		if err != nil {
-			fatal(logger, "cluster setup failed", err)
+			return fmt.Errorf("cluster setup: %w", err)
 		}
 		s.AttachCluster(cluster)
 		for _, m := range cluster.Members() {
@@ -167,7 +210,7 @@ func main() {
 	if *preload != "" {
 		for _, spec := range strings.Split(*preload, ",") {
 			if err := preloadOne(logger, s, spec, *seed); err != nil {
-				fatal(logger, "preload failed", err, slog.String("spec", spec))
+				return fmt.Errorf("preload %q: %w", spec, err)
 			}
 		}
 	}
@@ -175,17 +218,29 @@ func main() {
 	if *pprofAddr != "" {
 		// DefaultServeMux carries the pprof handlers (blank import above);
 		// the API listener uses its own mux, so profiles stay off it.
+		psrv := &http.Server{Addr: *pprofAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 5 * time.Second}
+		defer psrv.Close()
 		go func() {
 			logger.Info("pprof listening", slog.String("addr", *pprofAddr))
-			psrv := &http.Server{Addr: *pprofAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 5 * time.Second}
-			if err := psrv.ListenAndServe(); err != nil {
+			if err := psrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("pprof server exited", slog.Any("err", err))
 			}
 		}()
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       idleTimeout,
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	logger.Info("spmv-serve listening",
-		slog.String("addr", *addr),
+		slog.String("addr", ln.Addr().String()),
 		slog.Int("max_batch", cfg.MaxBatch),
 		slog.Duration("batch_window", cfg.BatchWindow),
 		slog.Bool("adaptive", cfg.Adaptive),
@@ -193,10 +248,27 @@ func main() {
 		slog.Int("obs_sample", cfg.ObsSample),
 		slog.Bool("sched", cfg.Sched.Active()),
 		slog.Bool("admission", cfg.Sched.AdmissionControlled()))
-	srv := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	if err := srv.ListenAndServe(); err != nil {
-		fatal(logger, "listener exited", err)
+	if ready != nil {
+		ready(ln.Addr().String())
 	}
+
+	select {
+	case err := <-served:
+		return fmt.Errorf("listener exited: %w", err)
+	case <-ctx.Done():
+	}
+	// Stop accepting, let in-flight requests finish, then (deferred) stop
+	// the serving subsystem: sessions, re-tuner, worker pools.
+	logger.Info("spmv-serve draining", slog.Duration("timeout", drainTimeout))
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(dctx); err != nil {
+		logger.Warn("drain timed out; closing remaining connections", slog.Any("err", err))
+		srv.Close()
+	}
+	<-served // http.ErrServerClosed once Shutdown begins
+	logger.Info("spmv-serve stopped")
+	return nil
 }
 
 // buildLogger assembles the process logger from the -log-level and
@@ -215,11 +287,6 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
 	}
-}
-
-func fatal(logger *slog.Logger, msg string, err error, attrs ...any) {
-	logger.Error(msg, append([]any{slog.Any("err", err)}, attrs...)...)
-	os.Exit(1)
 }
 
 // buildSchedConfig assembles the admission/scheduling config from its

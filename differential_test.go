@@ -7,11 +7,13 @@
 // Agreement comes in two strengths:
 //
 //   - bitwise for the deterministic CSR family (serial/parallel CSR at
-//     either index width, MultiVec, and the wide kernels over CSR): these
-//     all accumulate each row strictly in column order, so their bits are
-//     the reference's bits — the property the serving layer's
-//     Deterministic mode and the re-tuner's bit-preserving promotions
-//     stand on;
+//     either index width, and the wide kernels over CSR — the CSR-copy
+//     Multi views and the compiled operator's WideMulti views alike):
+//     these all accumulate each row strictly in column order, so their
+//     bits are the reference's bits — on tidy finite inputs and on lanes
+//     salted with every IEEE-754 value class (±0, subnormals, ±Inf, NaN).
+//     The serving layer's one numerics mode and the re-tuner's
+//     bit-preserving promotions stand on this;
 //   - ULP-bounded for reassociating paths (register/cache blocking,
 //     symmetry): |y - ref| <= ~nnz_row * eps * sum|a_ij x_j| per row.
 //
@@ -201,7 +203,7 @@ func refMul(coo *matrix.COO, x []float64) (y, tol []float64) {
 	abs := make([]float64, coo.R)
 	rowNNZ := make([]int, coo.R)
 	for _, e := range canon {
-		t := e.v * x[e.j]
+		t := float64(e.v * x[e.j]) // rounded: no fused multiply-add
 		y[e.i] += t
 		abs[e.i] += math.Abs(t)
 		rowNNZ[e.i]++
@@ -223,6 +225,54 @@ func laneVectors(cols, width int, seed int64) [][]float64 {
 		}
 	}
 	return xs
+}
+
+// ieeeLaneVectors is laneVectors salted with the IEEE-754 value classes
+// the serving path must carry bit for bit. Lanes cycle through four
+// salts: signed zeros and subnormals (rows stay finite), +/-Inf (whose
+// opposite-signed products meet as Inf-Inf, the invalid operation that
+// creates the default NaN), NaN, and all finite and infinite classes
+// together. No lane mixes a NaN input with Inf: when two NaNs of
+// different payloads meet, which payload survives depends on the add's
+// operand order as the compiler emits it, which no kernel pins (see
+// ROADMAP). Within a lane every NaN carries one payload, so the bits stay
+// comparable.
+func ieeeLaneVectors(cols, width int, seed int64) [][]float64 {
+	tiny := math.SmallestNonzeroFloat64
+	salts := [][]float64{
+		{0, math.Copysign(0, -1), tiny, -tiny, 3 * tiny, -2.5e-310},
+		{math.Inf(1), math.Inf(-1)},
+		{math.NaN()},
+		{0, math.Copysign(0, -1), tiny, -2.5e-310, math.Inf(1), math.Inf(-1)},
+	}
+	xs := laneVectors(cols, width, seed)
+	for v := range xs {
+		rng := rand.New(rand.NewSource(seed ^ int64(1000+v)))
+		salt := salts[v%len(salts)]
+		for i := range xs[v] {
+			if rng.Intn(16) == 0 {
+				xs[v][i] = salt[rng.Intn(len(salt))]
+			}
+		}
+	}
+	return xs
+}
+
+// diffInput is one set of lane vectors the bitwise axes run over, with
+// the fused widths to check; prefix (empty for the finite lanes)
+// distinguishes their check paths. The IEEE lanes run at every width a
+// MaxBatch-8 batcher forms, the unrolled bodies and the generic one.
+type diffInput struct {
+	prefix string
+	xs     [][]float64
+	widths []int
+}
+
+func diffInputs(cols int, seed int64) []diffInput {
+	return []diffInput{
+		{"", laneVectors(cols, 8, seed), diffWidths},
+		{"ieee/", ieeeLaneVectors(cols, 8, seed), []int{1, 2, 3, 4, 5, 6, 7, 8}},
+	}
 }
 
 // checkBitwise asserts got matches want bit for bit.
@@ -279,59 +329,60 @@ func TestDifferentialCSRFamily(t *testing.T) {
 	for _, tc := range diffCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, cols := tc.m.Dims()
-			rows, _ := tc.m.Dims()
-			xs := laneVectors(cols, 8, 77)
-			refs := make([][]float64, len(xs))
-			for v := range xs {
-				refs[v], _ = refMul(tc.coo, xs[v])
-			}
+			for _, in := range diffInputs(cols, 77) {
+				xs := in.xs
+				refs := make([][]float64, len(xs))
+				for v := range xs {
+					refs[v], _ = refMul(tc.coo, xs[v])
+				}
 
-			opts16 := spmv.NaiveOptions()
-			opts16.ReduceIndices = true
-			for _, threads := range diffThreads {
-				for optName, opt := range map[string]spmv.TuneOptions{"csr32": spmv.NaiveOptions(), "csr16": opts16} {
-					op, err := spmv.CompileParallel(tc.m, opt, threads, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					path := fmt.Sprintf("%s/threads=%d", optName, threads)
-					y, err := op.Mul(xs[0])
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkBitwise(t, path+"/mul", y, refs[0])
+				opts16 := spmv.NaiveOptions()
+				opts16.ReduceIndices = true
+				for _, threads := range diffThreads {
+					for optName, opt := range map[string]spmv.TuneOptions{"csr32": spmv.NaiveOptions(), "csr16": opts16} {
+						op, err := spmv.CompileParallel(tc.m, opt, threads, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						path := fmt.Sprintf("%s%s/threads=%d", in.prefix, optName, threads)
+						y, err := op.Mul(xs[0])
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkBitwise(t, path+"/mul", y, refs[0])
 
-					for _, width := range diffWidths {
-						// CSR fallback views (MultiVec).
-						mo, err := op.Multi(width)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ys, err := mo.MulAll(xs[:width])
-						if err != nil {
-							t.Fatal(err)
-						}
-						for v := range ys {
-							checkBitwise(t, fmt.Sprintf("%s/multi%d/lane%d", path, width, v), ys[v], refs[v])
-						}
-						// Tuned wide views — over CSR encodings these must
-						// reproduce the same bits (the re-tuner's
-						// bit-preserving promotion contract).
-						wmo, err := op.WideMulti(width)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wys, err := wmo.MulAll(xs[:width])
-						if err != nil {
-							t.Fatal(err)
-						}
-						for v := range wys {
-							checkBitwise(t, fmt.Sprintf("%s/wide%d/lane%d", path, width, v), wys[v], refs[v])
+						for _, width := range in.widths {
+							// CSR-copy views (Multi).
+							mo, err := op.Multi(width)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ys, err := mo.MulAll(xs[:width])
+							if err != nil {
+								t.Fatal(err)
+							}
+							for v := range ys {
+								checkBitwise(t, fmt.Sprintf("%s/multi%d/lane%d", path, width, v), ys[v], refs[v])
+							}
+							// Compiled-encoding wide views — over CSR encodings
+							// these must reproduce the same bits (the serving
+							// path and the re-tuner's bit-preserving promotion
+							// contract).
+							wmo, err := op.WideMulti(width)
+							if err != nil {
+								t.Fatal(err)
+							}
+							wys, err := wmo.MulAll(xs[:width])
+							if err != nil {
+								t.Fatal(err)
+							}
+							for v := range wys {
+								checkBitwise(t, fmt.Sprintf("%s/wide%d/lane%d", path, width, v), wys[v], refs[v])
+							}
 						}
 					}
 				}
 			}
-			_ = rows
 		})
 	}
 }
@@ -697,8 +748,9 @@ func overlayLanes(t *testing.T, mo *spmv.MultiOperator, ov *delta.Overlay, rows 
 }
 
 // TestDifferentialOverlay checks overlay-vs-rebuild bitwise identity on
-// both CSR-family multi-RHS views (MultiVec and the wide kernels), over
-// the structural zoo, at threads 1/2/4 and widths 1/4/8.
+// both CSR-family multi-RHS views (the CSR-copy Multi views and the
+// compiled operator's WideMulti views), over the structural zoo, at
+// threads 1/2/4 and widths 1/4/8, on finite and IEEE-salted lanes.
 func TestDifferentialOverlay(t *testing.T) {
 	nops := 200
 	if testing.Short() {
@@ -713,39 +765,41 @@ func TestDifferentialOverlay(t *testing.T) {
 			}
 			ov := l.Overlay()
 			folded := foldToMatrix(t, l, rows, cols)
-			xs := laneVectors(cols, 8, 555)
-			for _, threads := range diffThreads {
-				base, err := spmv.CompileParallel(tc.m, spmv.NaiveOptions(), threads, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rebuilt, err := spmv.CompileParallel(folded, spmv.NaiveOptions(), threads, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, width := range diffWidths {
-					views := map[string]func(op *spmv.Operator) (*spmv.MultiOperator, error){
-						"multi": func(op *spmv.Operator) (*spmv.MultiOperator, error) { return op.Multi(width) },
-						"wide":  func(op *spmv.Operator) (*spmv.MultiOperator, error) { return op.WideMulti(width) },
+			for _, in := range diffInputs(cols, 555) {
+				xs := in.xs
+				for _, threads := range diffThreads {
+					base, err := spmv.CompileParallel(tc.m, spmv.NaiveOptions(), threads, 1)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for vn, view := range views {
-						bmo, err := view(base)
-						if err != nil {
-							t.Fatal(err)
+					rebuilt, err := spmv.CompileParallel(folded, spmv.NaiveOptions(), threads, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, width := range in.widths {
+						views := map[string]func(op *spmv.Operator) (*spmv.MultiOperator, error){
+							"multi": func(op *spmv.Operator) (*spmv.MultiOperator, error) { return op.Multi(width) },
+							"wide":  func(op *spmv.Operator) (*spmv.MultiOperator, error) { return op.WideMulti(width) },
 						}
-						rmo, err := view(rebuilt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := overlayLanes(t, bmo, ov, rows, xs[:width])
-						want, err := rmo.MulAll(xs[:width])
-						if err != nil {
-							t.Fatal(err)
-						}
-						for v := range got {
-							checkBitwise(t,
-								fmt.Sprintf("%s/threads=%d/width=%d/lane%d", vn, threads, width, v),
-								got[v], want[v])
+						for vn, view := range views {
+							bmo, err := view(base)
+							if err != nil {
+								t.Fatal(err)
+							}
+							rmo, err := view(rebuilt)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := overlayLanes(t, bmo, ov, rows, xs[:width])
+							want, err := rmo.MulAll(xs[:width])
+							if err != nil {
+								t.Fatal(err)
+							}
+							for v := range got {
+								checkBitwise(t,
+									fmt.Sprintf("%s%s/threads=%d/width=%d/lane%d", in.prefix, vn, threads, width, v),
+									got[v], want[v])
+							}
 						}
 					}
 				}

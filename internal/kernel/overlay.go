@@ -16,9 +16,10 @@ import (
 // Overwriting — rather than adding a correction term — is what makes the
 // result bitwise identical to a from-scratch rebuild of the mutated
 // matrix on the CSR-family paths: the rebuilt kernel computes exactly
-// this dot product for the dirty row (MultiVec accumulates per lane in
-// column order from zero), and every clean row's result is independent of
-// other rows, so the base pass already produced the rebuilt bits there.
+// this dot product for the dirty row (wide CSR accumulates per lane in
+// column order from zero, rounding every product as done here), and
+// every clean row's result is independent of other rows, so the base pass
+// already produced the rebuilt bits there.
 // The same overwrite is value-correct over ANY base operator family
 // (blocked, wide, symmetric): the base pass computes the unmutated
 // matrix's full product, and mutations only change the dirty rows'
@@ -26,8 +27,9 @@ import (
 //
 // Rows are independent, so application order across rows cannot affect
 // results; within a row the ascending-column scan pins the summation
-// order. nv is the interleaved block width: y[i*nv+v] is element i of
-// vector v.
+// order, and the float64 conversions keep every product rounded (no fused
+// multiply-add on any architecture). nv is the interleaved block width:
+// y[i*nv+v] is element i of vector v.
 //
 //spmv:deterministic
 func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
@@ -52,7 +54,7 @@ func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
 				if int(c) >= xCols {
 					return overlayRange(int(c), xCols)
 				}
-				sum += row.Val[k] * x[c]
+				sum += float64(row.Val[k] * x[c])
 			}
 			y[i] = sum
 		}
@@ -69,10 +71,10 @@ func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
 				}
 				v := row.Val[k]
 				c := int(col) * 4
-				s0 += v * x[c]
-				s1 += v * x[c+1]
-				s2 += v * x[c+2]
-				s3 += v * x[c+3]
+				s0 += float64(v * x[c])
+				s1 += float64(v * x[c+1])
+				s2 += float64(v * x[c+2])
+				s3 += float64(v * x[c+3])
 			}
 			b := i * 4
 			y[b] = s0
@@ -98,7 +100,7 @@ func OverlayRows(y, x []float64, nv int, rows []delta.Row) error {
 				v := row.Val[k]
 				c := int(col) * nv
 				for lane := 0; lane < nv; lane++ {
-					sums[lane] += v * x[c+lane]
+					sums[lane] += float64(v * x[c+lane])
 				}
 			}
 			b := i * nv

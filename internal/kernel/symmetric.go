@@ -105,7 +105,7 @@ func (s *SymSweep) Name() string {
 type Exec func(tasks []func())
 
 // MulAddWidth computes Y ← Y + A·X over nv interleaved vectors
-// (X[j*nv+v] is element j of vector v, the layout of MultiVec): the
+// (X[j*nv+v] is element j of vector v; see Interleave): the
 // multi-RHS symmetric sweep, streaming the halved matrix once for all nv
 // vectors. Safe for concurrent use; each call draws its own spill scratch.
 //

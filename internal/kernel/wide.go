@@ -7,19 +7,25 @@ import (
 	"repro/internal/matrix"
 )
 
-// Wide is a width-k multi-RHS kernel bound to one encoded matrix: one
-// matrix stream multiplies k interleaved vectors (the layout of MultiVec:
-// X[j*k+v] is element j of vector v). Where MultiVec fuses vectors over
-// the plain CSR stream, a Wide kernel fuses them over ANY of the tuner's
-// encodings — register-blocked, block-coordinate, cache-blocked, or
-// symmetric — combining the paper's two biggest bandwidth reductions
-// (data-structure compression and multiple vectors, §2.1) in one sweep.
+// Wide is a width-k multi-RHS kernel bound to one encoded matrix: the
+// multiple-vectors optimization (an OSKI capability, §2.1: "register- and
+// cache-level blocking, exploiting symmetry, multiple vectors, ...").
+// Multiplying k vectors in one sweep streams the matrix once instead of k
+// times, raising the effective flop:byte ratio by nearly k — for
+// bandwidth-bound SpMV the most effective bandwidth reduction available
+// when there are several right-hand sides. Vectors are interleaved
+// (X[j*k+v] is element j of vector v; see Interleave), so one gather of
+// x_j serves all k lanes. A Wide kernel fuses them over ANY of the tuner's
+// encodings — plain CSR, register-blocked, block-coordinate,
+// cache-blocked, or symmetric — combining the paper's two biggest
+// bandwidth reductions (data-structure compression and multiple vectors)
+// in one sweep.
 //
 // Lanes are independent and each lane accumulates in the same order at
 // every width, so lane v of a width-k sweep is bitwise identical to the
-// width-1 sweep of the same kernel. CSR-backed Wide kernels additionally
-// reproduce MultiVec's bits exactly (identical per-lane operation order),
-// which is what lets a serving layer swap one for the other without
+// width-1 sweep of the same kernel. CSR-backed Wide kernels accumulate
+// each row strictly in column order, which is what lets a serving layer
+// swap one CSR encoding (index width, row partition) for another without
 // changing a single response bit.
 type Wide interface {
 	// MulAddBlock computes Y ← Y + A·X over interleaved width-k blocks.
@@ -111,6 +117,9 @@ func newWideSerial(eng wideEngine, rows, cols, nv int, name string) *wideSerial 
 func (w *wideSerial) Width() int   { return w.nv }
 func (w *wideSerial) Name() string { return w.name }
 
+// MulAddBlock implements Wide.
+//
+//spmv:deterministic
 func (w *wideSerial) MulAddBlock(y, x []float64) error {
 	if len(y) != w.rows*w.nv || len(x) != w.cols*w.nv {
 		return fmt.Errorf("%w: matrix %dx%d with %d vectors: len(y)=%d len(x)=%d",
@@ -149,9 +158,13 @@ func (w *wideSerial) MulAddBlock(y, x []float64) error {
 	return nil
 }
 
-// wideCSR fuses k vectors over a CSR stream. The per-lane accumulation
-// order (row sums in column order, then one add into y) is exactly
-// MultiVec's, so its bits match MultiVec at every width and index size.
+// wideCSR fuses k vectors over a CSR stream. Each lane sums its row in
+// column order into a fresh accumulator, then adds it into y once. The
+// common widths 1, 2, 4 and 8 are unrolled (mirroring the register-block
+// code generation); other widths take a generic per-lane loop with the
+// same per-lane operation order, so bits never depend on which body ran.
+// The float64 conversions round every product before it is summed, so no
+// architecture may fuse a multiply-add and move the bits.
 type wideCSR[I matrix.Index] struct {
 	m  *matrix.CSR[I]
 	nv int
@@ -161,36 +174,97 @@ func (e *wideCSR[I]) rPad() int { return e.m.R }
 func (e *wideCSR[I]) cPad() int { return e.m.C }
 
 func (e *wideCSR[I]) run(y, x []float64) {
-	m, nv := e.m, e.nv
-	if nv == 1 {
+	m := e.m
+	switch e.nv {
+	case 1:
 		k := m.RowPtr[0]
 		for i := 0; i < m.R; i++ {
 			end := m.RowPtr[i+1]
 			sum := 0.0
 			for ; k < end; k++ {
-				sum += m.Val[k] * x[m.Col[k]]
+				sum += float64(m.Val[k] * x[m.Col[k]])
 			}
 			y[i] += sum
 		}
-		return
-	}
-	sums := make([]float64, nv)
-	k := m.RowPtr[0]
-	for i := 0; i < m.R; i++ {
-		end := m.RowPtr[i+1]
-		for v := range sums {
-			sums[v] = 0
-		}
-		for ; k < end; k++ {
-			val := m.Val[k]
-			c := int(m.Col[k]) * nv
-			for v := 0; v < nv; v++ {
-				sums[v] += val * x[c+v]
+	case 2:
+		k := m.RowPtr[0]
+		for i := 0; i < m.R; i++ {
+			end := m.RowPtr[i+1]
+			s0, s1 := 0.0, 0.0
+			for ; k < end; k++ {
+				v := m.Val[k]
+				c := int(m.Col[k]) * 2
+				s0 += float64(v * x[c])
+				s1 += float64(v * x[c+1])
 			}
+			y[i*2] += s0
+			y[i*2+1] += s1
 		}
-		base := i * nv
-		for v := 0; v < nv; v++ {
-			y[base+v] += sums[v]
+	case 4:
+		k := m.RowPtr[0]
+		for i := 0; i < m.R; i++ {
+			end := m.RowPtr[i+1]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			for ; k < end; k++ {
+				v := m.Val[k]
+				c := int(m.Col[k]) * 4
+				s0 += float64(v * x[c])
+				s1 += float64(v * x[c+1])
+				s2 += float64(v * x[c+2])
+				s3 += float64(v * x[c+3])
+			}
+			b := i * 4
+			y[b] += s0
+			y[b+1] += s1
+			y[b+2] += s2
+			y[b+3] += s3
+		}
+	case 8:
+		k := m.RowPtr[0]
+		for i := 0; i < m.R; i++ {
+			end := m.RowPtr[i+1]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			s4, s5, s6, s7 := 0.0, 0.0, 0.0, 0.0
+			for ; k < end; k++ {
+				v := m.Val[k]
+				c := int(m.Col[k]) * 8
+				s0 += float64(v * x[c])
+				s1 += float64(v * x[c+1])
+				s2 += float64(v * x[c+2])
+				s3 += float64(v * x[c+3])
+				s4 += float64(v * x[c+4])
+				s5 += float64(v * x[c+5])
+				s6 += float64(v * x[c+6])
+				s7 += float64(v * x[c+7])
+			}
+			b := i * 8
+			y[b] += s0
+			y[b+1] += s1
+			y[b+2] += s2
+			y[b+3] += s3
+			y[b+4] += s4
+			y[b+5] += s5
+			y[b+6] += s6
+			y[b+7] += s7
+		}
+	default:
+		nv := e.nv
+		sums := make([]float64, nv)
+		k := m.RowPtr[0]
+		for i := 0; i < m.R; i++ {
+			end := m.RowPtr[i+1]
+			clear(sums)
+			for ; k < end; k++ {
+				val := m.Val[k]
+				c := int(m.Col[k]) * nv
+				for v := 0; v < nv; v++ {
+					sums[v] += float64(val * x[c+v])
+				}
+			}
+			base := i * nv
+			for v := 0; v < nv; v++ {
+				y[base+v] += sums[v]
+			}
 		}
 	}
 }
@@ -459,4 +533,42 @@ func (p *WideParallel) MulAddBlockExec(y, x []float64, exec Exec) error {
 		exec(tasks)
 	}
 	return firstErr
+}
+
+// Interleave packs k equal-length column vectors into the row-major block
+// layout the wide kernels consume: out[j*k+v] is element j of vector v.
+func Interleave(vectors [][]float64) ([]float64, error) {
+	if len(vectors) == 0 {
+		return nil, fmt.Errorf("kernel: no vectors")
+	}
+	n := len(vectors[0])
+	for i, v := range vectors {
+		if len(v) != n {
+			return nil, fmt.Errorf("kernel: vector %d has length %d, want %d", i, len(v), n)
+		}
+	}
+	nv := len(vectors)
+	out := make([]float64, n*nv)
+	for j := 0; j < n; j++ {
+		for v := 0; v < nv; v++ {
+			out[j*nv+v] = vectors[v][j]
+		}
+	}
+	return out, nil
+}
+
+// Deinterleave unpacks the block layout back into k column vectors.
+func Deinterleave(block []float64, nv int) ([][]float64, error) {
+	if nv < 1 || len(block)%nv != 0 {
+		return nil, fmt.Errorf("kernel: block length %d not divisible by %d vectors", len(block), nv)
+	}
+	n := len(block) / nv
+	out := make([][]float64, nv)
+	for v := range out {
+		out[v] = make([]float64, n)
+		for j := 0; j < n; j++ {
+			out[v][j] = block[j*nv+v]
+		}
+	}
+	return out, nil
 }

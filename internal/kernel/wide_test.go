@@ -48,8 +48,9 @@ func TestNewWideValidation(t *testing.T) {
 }
 
 // TestWideParallelExec checks the parallel wide kernel both on its own
-// goroutines and through an external executor, against MultiVec bits, and
-// with concurrent sweeps sharing the kernel (the serving pattern).
+// goroutines and through an external executor, against the serial wide
+// CSR sweep's bits, and with concurrent sweeps sharing the kernel (the
+// serving pattern).
 func TestWideParallelExec(t *testing.T) {
 	csr := wideTestCSR(t, 200, 180, 2500, 2)
 	part, err := partition.ByNNZ(csr.RowPtr, 3)
@@ -74,7 +75,7 @@ func TestWideParallelExec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mv, err := NewMultiVec(csr, width)
+	serial, err := NewWide(csr, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestWideParallelExec(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	want := make([]float64, csr.R*width)
-	if err := mv.MulAdd(want, x); err != nil {
+	if err := serial.MulAddBlock(want, x); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +93,7 @@ func TestWideParallelExec(t *testing.T) {
 		t.Helper()
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: element %d not bitwise equal to MultiVec", name, i)
+				t.Fatalf("%s: element %d not bitwise equal to the serial sweep", name, i)
 			}
 		}
 	}

@@ -1,24 +1,26 @@
 package kernel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/matrix"
+	"repro/internal/partition"
 )
 
-func TestMultiVecMatchesPerVectorReference(t *testing.T) {
+func TestWideCSRMatchesPerVectorReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := fillRandom(matrix.NewCOO(80, 120), rng, 1500)
 	csr, _ := matrix.NewCSR[uint32](m)
 	for _, nv := range []int{1, 2, 3, 4, 7, 8} {
-		mv, err := NewMultiVec(csr, nv)
+		w, err := NewWide(csr, nv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mv.Vectors() != nv {
-			t.Errorf("vectors %d", mv.Vectors())
+		if w.Width() != nv {
+			t.Errorf("width %d", w.Width())
 		}
 		xs := make([][]float64, nv)
 		wants := make([][]float64, nv)
@@ -35,7 +37,7 @@ func TestMultiVecMatchesPerVectorReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		yBlock := make([]float64, 80*nv)
-		if err := mv.MulAdd(yBlock, xBlock); err != nil {
+		if err := w.MulAddBlock(yBlock, xBlock); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Deinterleave(yBlock, nv)
@@ -50,14 +52,16 @@ func TestMultiVecMatchesPerVectorReference(t *testing.T) {
 	}
 }
 
-// TestMultiVecRowRangesTileFullSweep verifies the serving layer's sharding
-// contract: MulAddRows over any tiling of [0, R) equals one full MulAdd.
-func TestMultiVecRowRangesTileFullSweep(t *testing.T) {
+// TestWideCSRRowBandsTileFullSweep verifies the row-decomposition contract
+// the serving layer's fused sweeps stand on: a parallel wide kernel over
+// any tiling of [0, R) into CSR row bands is bitwise equal to one serial
+// wide sweep, at unrolled and generic widths alike.
+func TestWideCSRRowBandsTileFullSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m := fillRandom(matrix.NewCOO(97, 61), rng, 1200)
 	csr, _ := matrix.NewCSR[uint32](m)
 	for _, nv := range []int{1, 2, 3, 4, 6, 8} {
-		mv, err := NewMultiVec(csr, nv)
+		w, err := NewWide(csr, nv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +70,7 @@ func TestMultiVecRowRangesTileFullSweep(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		want := make([]float64, 97*nv)
-		if err := mv.MulAdd(want, x); err != nil {
+		if err := w.MulAddBlock(want, x); err != nil {
 			t.Fatal(err)
 		}
 		for _, bounds := range [][]int{
@@ -75,36 +79,47 @@ func TestMultiVecRowRangesTileFullSweep(t *testing.T) {
 			{0, 30, 31, 96, 97},
 			{0, 10, 20, 40, 80, 97},
 		} {
-			got := make([]float64, 97*nv)
+			var parts []Part
 			for i := 0; i+1 < len(bounds); i++ {
-				if err := mv.MulAddRows(got, x, bounds[i], bounds[i+1]); err != nil {
+				lo, hi := bounds[i], bounds[i+1]
+				sub, err := matrix.NewCSR[uint32](csr.SubmatrixCOO(lo, hi, 0, csr.C))
+				if err != nil {
 					t.Fatal(err)
 				}
+				parts = append(parts, Part{Range: partition.Range{Lo: lo, Hi: hi}, Enc: sub})
 			}
-			if d := maxAbsDiff(got, want); d != 0 {
-				t.Errorf("nv=%d bounds=%v: diff %g from full sweep", nv, bounds, d)
+			p, err := NewParallel(csr.R, csr.C, parts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := mv.MulAddRows(make([]float64, 97*nv), x, 5, 3); err == nil {
-			t.Error("inverted range accepted")
-		}
-		if err := mv.MulAddRows(make([]float64, 97*nv), x, 0, 98); err == nil {
-			t.Error("out-of-bounds range accepted")
+			wp, err := NewWideParallel(p, nv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, 97*nv)
+			if err := wp.MulAddBlock(got, x); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("nv=%d bounds=%v: element %d not bitwise equal to the full sweep", nv, bounds, i)
+				}
+			}
 		}
 	}
 }
 
-func TestMultiVecValidation(t *testing.T) {
+func TestWideCSRValidation(t *testing.T) {
 	m := matrix.NewCOO(4, 4)
 	csr, _ := matrix.NewCSR[uint32](m)
-	if _, err := NewMultiVec(csr, 0); err == nil {
+	if _, err := NewWide(csr, 0); err == nil {
 		t.Error("0 vectors accepted")
 	}
-	mv, _ := NewMultiVec(csr, 2)
-	if err := mv.MulAdd(make([]float64, 8), make([]float64, 7)); err == nil {
+	w, _ := NewWide(csr, 2)
+	if err := w.MulAddBlock(make([]float64, 8), make([]float64, 7)); err == nil {
 		t.Error("bad x length accepted")
 	}
-	if err := mv.MulAdd(make([]float64, 7), make([]float64, 8)); err == nil {
+	if err := w.MulAddBlock(make([]float64, 7), make([]float64, 8)); err == nil {
 		t.Error("bad y length accepted")
 	}
 }
@@ -143,7 +158,7 @@ func TestInterleaveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickMultiVecAgreesWithSingle(t *testing.T) {
+func TestQuickWideCSRAgreesWithSingle(t *testing.T) {
 	f := func(seed int64, nv8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
@@ -153,7 +168,7 @@ func TestQuickMultiVecAgreesWithSingle(t *testing.T) {
 			return false
 		}
 		nv := int(nv8%6) + 1
-		mv, err := NewMultiVec(csr, nv)
+		w, err := NewWide(csr, nv)
 		if err != nil {
 			return false
 		}
@@ -169,7 +184,7 @@ func TestQuickMultiVecAgreesWithSingle(t *testing.T) {
 			return false
 		}
 		yBlock := make([]float64, rows*nv)
-		if err := mv.MulAdd(yBlock, xBlock); err != nil {
+		if err := w.MulAddBlock(yBlock, xBlock); err != nil {
 			return false
 		}
 		got, err := Deinterleave(yBlock, nv)

@@ -2,8 +2,8 @@
 // compiles and caches operators and re-tunes them online (§4.2), an
 // adaptive batcher that coalesces concurrent single-vector requests into
 // fused multi-RHS sweeps (§2.1's multiple-vectors optimization — the
-// matrix streams once for k requests), and a worker pool that shards each
-// sweep over nonzero-balanced row partitions (§4.3). *Server is the
+// matrix streams once for k requests), and a worker pool that runs each
+// sweep's nonzero-balanced row parts (§4.3) concurrently. *Server is the
 // in-process API; Handler serves the same operations over HTTP behind
 // cmd/spmv-serve.
 package server
@@ -32,20 +32,16 @@ type opKey struct {
 // (copy-on-write): a sweep loads the pointer once and runs entirely on
 // that snapshot, so in-flight sweeps drain on the old operator while new
 // arrivals see the promoted one — no locks on the hot path, no torn
-// reads of operator/shard-plan pairs.
+// reads of operator/overlay pairs. Fused sweeps always stream op's own
+// wide views (Operator.WideMulti).
 type serving struct {
 	op  *spmv.Operator
-	sym bool // fused sweeps run the internally-parallel symmetric kernel
-	// wide routes fused sweeps through the operator's tuned wide views
-	// (Operator.WideMulti) instead of the CSR multi-RHS fallback — set by
-	// the re-tuner when it promotes a workload-tuned encoding.
-	wide bool
+	sym bool // op is the symmetric operator
 	// width is the fused-RHS width this operator was tuned for; the
 	// re-tuner measures workload drift against it.
 	width int
 	// gen counts promotions: 0 is the registration-time tune.
-	gen    int
-	shards []spmv.RowRange // row partition for CSR fused sweeps (nil when sym/wide)
+	gen int
 	// Modeled single-RHS sweep traffic (internal/traffic) of the serving
 	// path, the basis for the server's bytes-moved counters.
 	matrixBytes, sourceBytes, destBytes int64

@@ -71,7 +71,6 @@ func TestRetunePromotionDeterministicBitwise(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Threads = 2
 	cfg.Workers = 2
-	cfg.Shards = 2
 	cfg.MaxBatch = 16
 	cfg.BatchWindow = 5 * time.Millisecond
 	cfg.Adaptive = true
@@ -123,8 +122,8 @@ func TestRetunePromotionDeterministicBitwise(t *testing.T) {
 		t.Fatalf("drifted workload promoted %d operators, want 1", got)
 	}
 	sv := e.cur.Load()
-	if sv.gen != 1 || !sv.wide || sv.sym {
-		t.Fatalf("post-promotion snapshot gen=%d wide=%v sym=%v, want gen=1 wide=true sym=false", sv.gen, sv.wide, sv.sym)
+	if sv.gen != 1 || sv.sym {
+		t.Fatalf("post-promotion snapshot gen=%d sym=%v, want gen=1 sym=false", sv.gen, sv.sym)
 	}
 	if sv.matrixBytes >= preBytes {
 		t.Errorf("promotion did not shrink the modeled matrix stream: %d -> %d bytes", preBytes, sv.matrixBytes)

@@ -26,9 +26,9 @@
 //
 // Determinism: the candidate search is restricted to the CSR family
 // (row-partitioned, any index width), whose wide kernels are bit-identical
-// to the default CSR multi-RHS path at every width — so a promotion can
-// shrink the fused matrix stream (e.g. 16-bit indices) without changing a
-// single response bit.
+// to the registration-time CSR32 operator's at every width — so a
+// promotion can shrink the fused matrix stream (e.g. 16-bit indices)
+// without changing a single response bit.
 package server
 
 import (
@@ -73,8 +73,9 @@ type TuningReport struct {
 	Generation int    `json:"generation"`
 	Kernel     string `json:"kernel"`
 	Symmetric  bool   `json:"symmetric"`
-	// Wide reports that fused sweeps stream the tuned encoding (wide
-	// kernels) rather than the CSR fallback.
+	// Wide reports that fused sweeps stream the general operator's own
+	// encoding through the wide kernels: always true for general
+	// matrices, false for symmetric ones.
 	Wide       bool `json:"wide"`
 	TunedWidth int  `json:"tuned_width"`
 	// Observed workload since registration.
@@ -111,7 +112,7 @@ func (s *Server) Tuning(id string) (TuningReport, error) {
 		rep.Generation = sv.gen
 		rep.Kernel = sv.op.KernelName()
 		rep.Symmetric = sv.sym
-		rep.Wide = sv.wide
+		rep.Wide = !sv.sym
 		rep.TunedWidth = sv.width
 		rep.MatrixBytes = sv.matrixBytes
 		rep.Drift = widthDrift(sv.width, rep.ObservedMedianWidth)
@@ -239,7 +240,7 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 		ev.CandidateBytesPerRequest = best.score
 	case best.score < incumbentScore*(1-retunePromoteMargin):
 		nsv := &serving{
-			op: best.op, wide: true,
+			op:    best.op,
 			width: med, gen: sv.gen + 1,
 			matrixBytes: best.traffic.MatrixBytes,
 			sourceBytes: best.traffic.SourceBytes,
@@ -287,7 +288,8 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 // buildCandidate compiles the workload-derived contender for an entry —
 // the tuner re-run with retuneOptions — scored on the captured sample. Its
 // fused sweeps would stream the tuned encoding through the wide kernels,
-// so it is scored on that encoding's own traffic. The candidate goes
+// so it is scored on that encoding's own traffic — the same model
+// (WideTraffic) that priced the incumbent. The candidate goes
 // through the entry's operator cache (the registry's compile-once
 // contract); the evaluation's decision then evicts it if it loses, and
 // lastRejectedWidth keeps an unchanged median from recompiling it. nil

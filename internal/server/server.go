@@ -21,24 +21,24 @@ import (
 // Serving numerics are fixed, not configured: every Mul response — lone
 // or fused, served by one node or scattered over a sharded fleet, before
 // or after a re-tune promotion or a recompaction — is bitwise identical
-// for a given matrix and storage family. General matrices stream the
-// CSR family through the multi-RHS kernels, which accumulate each row
-// strictly in column order; symmetric matrices run the symmetric
-// kernel's canonical segmented reduction (kernel.SymSweep). Symmetry
-// changes the summation order once, at registration, never per request.
+// for a given matrix and storage family. General matrices stream their
+// own compiled CSR-family operator through the wide multi-RHS kernels,
+// which accumulate each row strictly in column order; symmetric matrices
+// run the symmetric kernel's canonical segmented reduction
+// (kernel.SymSweep). Symmetry changes the summation order once, at
+// registration, never per request.
 type Config struct {
-	// Threads is the parallel width operators compile with (the symmetric
-	// kernel's segment tasks, a promoted wide view's thread parts) and of
-	// solver sessions' BLAS reductions. <= 0 means GOMAXPROCS.
+	// Threads is the parallel width operators compile with, and so the
+	// number of tasks every fused sweep fans out over the worker pool:
+	// a general operator's nonzero-balanced row parts, or the symmetric
+	// kernel's segment tasks. It is also the width of solver sessions'
+	// BLAS reductions. <= 0 means GOMAXPROCS.
 	Threads int
 	// Workers is the sweep pool size. <= 0 means GOMAXPROCS.
 	Workers int
 	// MaxConcurrentSweeps bounds sweeps executing at once. <= 0 means
 	// Workers.
 	MaxConcurrentSweeps int
-	// Shards is the number of nonzero-balanced row shards each fused sweep
-	// fans out over. <= 0 means Workers.
-	Shards int
 	// MaxBatch is the widest fused sweep (k requests coalesced). <= 1
 	// disables batching.
 	MaxBatch int
@@ -210,9 +210,6 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.Workers
-	}
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 1
 	}
@@ -314,7 +311,7 @@ type MatrixInfo struct {
 	Baseline    int64   `json:"baseline_bytes"`
 	Savings     float64 `json:"savings"`
 	Threads     int     `json:"threads"`
-	Shards      int     `json:"shards"`
+	Shards      int     `json:"shards"`             // fused-sweep parts: thread parts, or row bands if sharded
 	Replicas    int     `json:"replicas,omitempty"` // > 0 only for cluster-sharded matrices
 	SweepBytes  int64   `json:"sweep_bytes"`        // modeled DRAM bytes per single-RHS sweep
 	MatrixBytes int64   `json:"matrix_bytes"`       // matrix-stream share of SweepBytes
@@ -336,7 +333,7 @@ func (s *Server) info(e *Entry) MatrixInfo {
 		Kernel: sv.op.KernelName(), Symmetric: sv.sym,
 		Footprint: sv.op.FootprintBytes(),
 		Baseline:  sv.op.BaselineBytes(), Savings: sv.op.Savings(),
-		Threads: sv.op.Threads(), Shards: len(sv.shards),
+		Threads: sv.op.Threads(), Shards: sv.op.Threads(),
 		SweepBytes:  sv.matrixBytes + sv.sourceBytes + sv.destBytes,
 		MatrixBytes: sv.matrixBytes,
 		Generation:  sv.gen,
@@ -361,9 +358,8 @@ type RegisterOptions struct {
 	Symmetric *bool
 }
 
-// Register ingests a matrix, compiles the default serving operator, and
-// precomputes the fused-sweep shard plan. The empty id asks the registry
-// to generate one.
+// Register ingests a matrix and compiles its default serving operator.
+// The empty id asks the registry to generate one.
 func (s *Server) Register(id, name string, m *spmv.Matrix) (MatrixInfo, error) {
 	return s.RegisterOpts(id, name, m, RegisterOptions{})
 }
@@ -396,12 +392,12 @@ func (s *Server) RegisterSuite(id, suite string, scale float64, seed int64) (Mat
 
 // prepare compiles the entry's default operator and serving snapshot. The
 // storage family comes from opts.Symmetric (see RegisterOptions). General
-// matrices compile untuned (spmv.NaiveOptions): their fused sweeps stream
-// the retained CSR32 until the re-tuner promotes a wide view, so a §4.2
-// blocked plan would be built only to sit unused. In auto mode the
-// symmetric operator is kept only when its footprint beats that CSR32 —
-// the same footprint-minimizing rule the §4.2 heuristic applies between
-// formats, with ties going to general.
+// matrices compile untuned (spmv.NaiveOptions): plain CSR32, one part per
+// thread, which their fused sweeps stream until the re-tuner promotes a
+// workload-tuned CSR encoding. In auto mode the symmetric operator is
+// kept only when its footprint beats that CSR32 — the same
+// footprint-minimizing rule the §4.2 heuristic applies between formats,
+// with ties going to general.
 func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 	rows, cols := e.Dims()
 	wantSym := s.cfg.AutoSymmetric
@@ -449,23 +445,15 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 
 // newServing builds a width-1, generation-0 snapshot for a freshly
 // compiled default operator (registration or recompaction). Its traffic
-// is what the serving paths actually stream: the symmetric kernel's
-// halved store for symmetric operators, the retained CSR32 for general
-// ones. The symmetric sweep parallelizes internally (its scatter escapes
-// any row range), so only general operators get an external fused-sweep
-// shard plan.
+// is what the fused sweeps actually stream — the operator's own wide
+// views (WideTraffic), priced by the same model the re-tuner scores its
+// candidates with.
 func (s *Server) newServing(def *spmv.Operator) (*serving, error) {
 	sv := &serving{op: def, sym: def.Symmetric(), width: 1, roof: new(obs.Roofline)}
-	var tr spmv.TrafficSummary
-	var err error
-	if sv.sym {
-		tr, err = def.Traffic(spmv.TrafficOptions{})
-	} else {
+	if !sv.sym {
 		sv.cacheKey = &opKey{opts: spmv.NaiveOptions(), threads: s.cfg.Threads}
-		if sv.shards, err = def.RowPartition(s.cfg.Shards); err == nil {
-			tr, err = def.MultiTraffic(spmv.TrafficOptions{})
-		}
 	}
+	tr, err := def.WideTraffic(spmv.TrafficOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -590,8 +578,8 @@ func (s *Server) recordSweep(e *Entry, sv *serving, width int) {
 	e.work.record(width)
 }
 
-// executeBatch runs one closed batch as a multi-RHS sweep sharded over the
-// pool. Width-1 batches take the same path, so lone and fused requests
+// executeBatch runs one closed batch as a multi-RHS sweep fanned out over
+// the pool. Width-1 batches take the same path, so lone and fused requests
 // produce identical bits. The whole batch runs on one serving
 // snapshot loaded up front, so a concurrent re-tune promotion never
 // mixes operators within a sweep — in-flight sweeps drain on the
@@ -646,11 +634,6 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 		fail(fmt.Errorf("server: matrix %q is still compiling", e.ID))
 		return
 	}
-	mo, err := fusedView(sv, width)
-	if err != nil {
-		fail(err)
-		return
-	}
 	// Interleave into pooled scratch: xBlock[j*width+v] = x_v[j]. The
 	// blocks are recycled across sweeps, so the hot path's only
 	// allocations are the result vectors handed back to callers. j stays
@@ -676,7 +659,7 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 	if o != nil {
 		interDone = time.Now()
 	}
-	if err := s.runFused(sv, mo, yBlock, xBlock, width); err != nil {
+	if err := s.runFused(sv, yBlock, xBlock, width); err != nil {
 		fail(err)
 		return
 	}
@@ -720,60 +703,33 @@ func (s *Server) executeBatch(e *Entry, class sched.Class, reqs []*pending) {
 	}
 }
 
-// fusedView returns the snapshot's width-k multi-RHS view: the tuned wide
-// kernels for promoted snapshots, the CSR (or symmetric) fallback
-// otherwise. Views are cached inside the operator, so this is cheap after
-// first use.
-func fusedView(sv *serving, width int) (*spmv.MultiOperator, error) {
-	if sv.wide {
-		return sv.op.WideMulti(width)
-	}
-	return sv.op.Multi(width)
-}
-
-// runFused executes one fused sweep of the view over interleaved blocks
-// through the worker pool: symmetric and tuned wide sweeps schedule their
-// internal task sets (the symmetric scatter escapes any row range; wide
-// kernels carry their own part decomposition), everything else fans out
-// over the snapshot's precomputed row shards. width is the interleaved
-// block width, which the snapshot's delta overlay (if any) is applied at
-// after the base pass: each dirty row's slots are overwritten with the
-// row's canonical merged content, making the result bitwise equal to a
-// from-scratch rebuild on the deterministic CSR-family paths (see
-// kernel.OverlayRows). Both the batcher's fused path and the solver
+// runFused executes one fused sweep of the snapshot's width-k wide view
+// (views are cached inside the operator) over interleaved blocks, its
+// internal task set (the operator's thread parts, or the symmetric
+// kernel's segment tasks) scheduled through the worker pool. width is the
+// interleaved block width, which the snapshot's delta overlay (if any) is
+// applied at after the base pass: each dirty row's slots are overwritten
+// with the row's canonical merged content, making the result bitwise
+// equal to a from-scratch rebuild on the deterministic CSR-family paths
+// (see kernel.OverlayRows). Both the batcher's fused path and the solver
 // sessions' per-iteration sweeps run through here, so they share the same
 // concurrency bounds and the same bits.
-func (s *Server) runFused(sv *serving, mo *spmv.MultiOperator, yBlock, xBlock []float64, width int) error {
-	var errMu sync.Mutex
-	var sweepErr error
-	if sv.sym || sv.wide {
-		if err := mo.MulAddBlockExec(yBlock, xBlock, s.pool.RunSweep); err != nil {
-			errMu.Lock()
-			sweepErr = err
-			errMu.Unlock()
-		}
-	} else {
-		shards := make([]func(), len(sv.shards))
-		for i, rg := range sv.shards {
-			lo, hi := rg.Lo, rg.Hi
-			shards[i] = func() {
-				if err := mo.MulAddRows(yBlock, xBlock, lo, hi); err != nil {
-					errMu.Lock()
-					sweepErr = err
-					errMu.Unlock()
-				}
-			}
-		}
-		s.pool.RunSweep(shards)
+func (s *Server) runFused(sv *serving, yBlock, xBlock []float64, width int) error {
+	mo, err := sv.op.WideMulti(width)
+	if err != nil {
+		return err
 	}
-	if sweepErr == nil && sv.ov != nil {
-		// Serial overwrite after the parallel base pass: dirty rows are a
-		// small fraction of the matrix by construction (recompaction folds
-		// the overlay before it grows past a threshold share of the base
-		// stream), and row independence means no ordering races to manage.
-		sweepErr = kernel.OverlayRows(yBlock, xBlock, width, sv.ov.Rows())
+	if err := mo.MulAddBlockExec(yBlock, xBlock, s.pool.RunSweep); err != nil {
+		return err
 	}
-	return sweepErr
+	if sv.ov == nil {
+		return nil
+	}
+	// Serial overwrite after the parallel base pass: dirty rows are a
+	// small fraction of the matrix by construction (recompaction folds
+	// the overlay before it grows past a threshold share of the base
+	// stream), and row independence means no ordering races to manage.
+	return kernel.OverlayRows(yBlock, xBlock, width, sv.ov.Rows())
 }
 
 // Matrices lists the registered matrices.

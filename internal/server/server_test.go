@@ -116,7 +116,7 @@ func TestRegistryOperatorCache(t *testing.T) {
 }
 
 // TestBatcherFusesConcurrentRequests is the acceptance demonstration: 4
-// concurrent single-vector Mul calls coalesce into ONE MultiVec sweep and
+// concurrent single-vector Mul calls coalesce into ONE fused sweep and
 // every caller gets the same answer as independent execution.
 func TestBatcherFusesConcurrentRequests(t *testing.T) {
 	cfg := DefaultConfig()

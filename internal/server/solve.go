@@ -564,10 +564,6 @@ func (s *Server) runSolve(e *Entry, ss *solveSession, req SolveRequest, maxIters
 	if e != nil {
 		apply = func(y, x []float64) error {
 			sv := e.cur.Load()
-			mo, err := fusedView(sv, 1)
-			if err != nil {
-				return err
-			}
 			clear(y)
 			// Session sweeps queue at the same priority gate as Mul batches,
 			// under the session's class — a bulk solve waits behind latency
@@ -585,7 +581,7 @@ func (s *Server) runSolve(e *Entry, ss *solveSession, req SolveRequest, maxIters
 			if s.obs != nil {
 				t0 = time.Now()
 			}
-			err = s.runFused(sv, mo, y, x, 1)
+			err := s.runFused(sv, y, x, 1)
 			if gated {
 				s.sched.gate.Release()
 			}

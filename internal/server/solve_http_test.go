@@ -157,7 +157,6 @@ func solveServerConfig() Config {
 	cfg.AutoSymmetric = false
 	cfg.Threads = 2
 	cfg.Workers = 2
-	cfg.Shards = 2
 	cfg.MaxBatch = 4
 	cfg.BatchWindow = 5 * time.Millisecond
 	cfg.RetuneMinRequests = 16

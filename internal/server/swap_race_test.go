@@ -67,8 +67,8 @@ func TestOperatorSwapRace(t *testing.T) {
 		t.Fatalf("setup promotion did not happen")
 	}
 	gen1 := e.cur.Load()
-	if gen0 == gen1 || !gen1.wide {
-		t.Fatalf("promotion produced no new wide snapshot")
+	if gen0 == gen1 || gen1.op == gen0.op {
+		t.Fatalf("promotion produced no new snapshot")
 	}
 
 	stop := make(chan struct{})

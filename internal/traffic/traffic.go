@@ -158,23 +158,54 @@ func Analyze(enc matrix.Format, opt Options) (Summary, error) {
 	if opt.LineBytes <= 0 {
 		opt.LineBytes = 64
 	}
+	return analyze(enc, opt, nil)
+}
+
+// AnalyzeBands models one sweep over the row bands of a row-partitioned
+// operator, run in row order. The bands' matrix streams, destination
+// lines and operation counts add up, while the source gather is a single
+// working-set window carried from band to band: the bands share one
+// source vector, so a line an earlier band fetched is charged again only
+// after the window has closed. Every band addresses the full source
+// vector; over plain CSR bands the source traffic is therefore exactly
+// the whole matrix's. Cache-blocked bands keep their blocks' own windows,
+// as Analyze models them.
+func AnalyzeBands(bands []matrix.Format, cols int, opt Options) (Summary, error) {
+	if opt.LineBytes <= 0 {
+		opt.LineBytes = 64
+	}
+	w := newWindow(cols, opt)
+	total := Summary{Windows: 1} // the shared window opens once per sweep
+	for _, b := range bands {
+		s, err := analyze(b, opt, w)
+		if err != nil {
+			return Summary{}, err
+		}
+		total.Add(s)
+	}
+	return total, nil
+}
+
+// analyze dispatches on the encoding. w is the source window the gather
+// continues (a band of AnalyzeBands); nil opens a fresh one.
+func analyze(enc matrix.Format, opt Options, w *window) (Summary, error) {
 	switch m := enc.(type) {
 	case *matrix.COO:
-		return analyzeCOO(m, opt), nil
+		return analyzeCOO(m, opt, w), nil
 	case *matrix.CSR16:
-		return analyzeCSR(m, opt), nil
+		return analyzeCSR(m, opt, w), nil
 	case *matrix.CSR32:
-		return analyzeCSR(m, opt), nil
+		return analyzeCSR(m, opt, w), nil
 	case *matrix.BCSR[uint16]:
-		return analyzeBCSR(m, opt), nil
+		return analyzeBCSR(m, opt, w), nil
 	case *matrix.BCSR[uint32]:
-		return analyzeBCSR(m, opt), nil
+		return analyzeBCSR(m, opt, w), nil
 	case *matrix.BCOO[uint16]:
-		return analyzeBCOO(m, opt), nil
+		return analyzeBCOO(m, opt, w), nil
 	case *matrix.BCOO[uint32]:
-		return analyzeBCOO(m, opt), nil
+		return analyzeBCOO(m, opt, w), nil
 	case *matrix.SymCSR:
-		return analyzeSym(m, opt), nil
+		return analyzeSym(m, opt, w), nil
 	case *matrix.CacheBlocked:
 		return analyzeCacheBlocked(m, opt)
 	default:
@@ -210,9 +241,23 @@ func newWindow(cols int, opt Options) *window {
 	}
 }
 
+// gather returns w, or a fresh window over cols elements when w is nil,
+// with the byte and window counts an analysis diffs its own charges from.
+func gather(w *window, cols int, opt Options) (*window, int64, int64) {
+	if w == nil {
+		return newWindow(cols, opt), 0, 0
+	}
+	return w, w.bytes, w.windows
+}
+
 // touch records access to source element col.
 func (w *window) touch(col int) {
 	line := col / w.lineElems
+	if line >= len(w.stamp) {
+		// A shared window is sized to the logical source; blocked bands
+		// gather up to one tile past it.
+		w.stamp = append(w.stamp, make([]int32, line+1-len(w.stamp))...)
+	}
 	if w.stamp[line] == w.gen {
 		return // reuse within the window: free
 	}
@@ -253,25 +298,25 @@ func destBytes(rows int, opt Options) int64 {
 	return 2 * lines * int64(opt.LineBytes)
 }
 
-func analyzeCOO(m *matrix.COO, opt Options) Summary {
-	w := newWindow(m.C, opt)
+func analyzeCOO(m *matrix.COO, opt Options, w *window) Summary {
+	w, b0, n0 := gather(w, m.C, opt)
 	for k := range m.Val {
 		w.touch(int(m.ColIdx[k]))
 	}
 	return Summary{
 		MatrixBytes: m.FootprintBytes(),
-		SourceBytes: w.bytes,
+		SourceBytes: w.bytes - b0,
 		DestBytes:   destBytes(m.R, opt),
 		Flops:       2 * m.NNZ(),
 		StoredFlops: 2 * m.Stored(),
 		Tiles:       m.NNZ(),
 		LoopRows:    0, // flat loop
-		Windows:     w.windows,
+		Windows:     w.windows - n0,
 	}
 }
 
-func analyzeCSR[I matrix.Index](m *matrix.CSR[I], opt Options) Summary {
-	w := newWindow(m.C, opt)
+func analyzeCSR[I matrix.Index](m *matrix.CSR[I], opt Options, w *window) Summary {
+	w, b0, n0 := gather(w, m.C, opt)
 	for i := 0; i < m.R; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			w.touch(int(m.Col[k]))
@@ -279,13 +324,13 @@ func analyzeCSR[I matrix.Index](m *matrix.CSR[I], opt Options) Summary {
 	}
 	return Summary{
 		MatrixBytes: m.FootprintBytes(),
-		SourceBytes: w.bytes,
+		SourceBytes: w.bytes - b0,
 		DestBytes:   destBytes(m.R, opt),
 		Flops:       2 * m.NNZ(),
 		StoredFlops: 2 * m.Stored(),
 		Tiles:       m.NNZ(),
 		LoopRows:    int64(m.R),
-		Windows:     w.windows,
+		Windows:     w.windows - n0,
 	}
 }
 
@@ -296,8 +341,8 @@ func analyzeCSR[I matrix.Index](m *matrix.CSR[I], opt Options) Summary {
 // multiplier), and the destination is charged twice the streaming cost,
 // since the scatter turns y from a write-once stream into a
 // read-modify-write target revisited by the reduction.
-func analyzeSym(m *matrix.SymCSR, opt Options) Summary {
-	w := newWindow(m.N, opt)
+func analyzeSym(m *matrix.SymCSR, opt Options, w *window) Summary {
+	w, b0, n0 := gather(w, m.N, opt)
 	for i := 0; i < m.N; i++ {
 		offDiag := false
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
@@ -312,7 +357,7 @@ func analyzeSym(m *matrix.SymCSR, opt Options) Summary {
 	}
 	return Summary{
 		MatrixBytes: m.FootprintBytes(),
-		SourceBytes: w.bytes,
+		SourceBytes: w.bytes - b0,
 		DestBytes:   2 * destBytes(m.N, opt),
 		Flops:       2 * m.NNZ(),
 		// The symmetric kernel executes one MAC per stored entry for the
@@ -321,12 +366,12 @@ func analyzeSym(m *matrix.SymCSR, opt Options) Summary {
 		StoredFlops: 2 * m.NNZ(),
 		Tiles:       m.Stored(),
 		LoopRows:    int64(m.N),
-		Windows:     w.windows,
+		Windows:     w.windows - n0,
 	}
 }
 
-func analyzeBCSR[I matrix.Index](m *matrix.BCSR[I], opt Options) Summary {
-	w := newWindow(m.C+m.Shape.C, opt)
+func analyzeBCSR[I matrix.Index](m *matrix.BCSR[I], opt Options, w *window) Summary {
+	w, b0, n0 := gather(w, m.C+m.Shape.C, opt)
 	for br := 0; br < m.BlockRows; br++ {
 		for t := m.RowPtr[br]; t < m.RowPtr[br+1]; t++ {
 			c0 := int(m.BCol[t]) * m.Shape.C
@@ -335,31 +380,31 @@ func analyzeBCSR[I matrix.Index](m *matrix.BCSR[I], opt Options) Summary {
 	}
 	return Summary{
 		MatrixBytes: m.FootprintBytes(),
-		SourceBytes: w.bytes,
+		SourceBytes: w.bytes - b0,
 		DestBytes:   destBytes(m.R, opt),
 		Flops:       2 * m.NNZ(),
 		StoredFlops: 2 * m.Stored(),
 		Tiles:       m.Blocks(),
 		LoopRows:    int64(m.BlockRows),
-		Windows:     w.windows,
+		Windows:     w.windows - n0,
 	}
 }
 
-func analyzeBCOO[I matrix.Index](m *matrix.BCOO[I], opt Options) Summary {
-	w := newWindow(m.C+m.Shape.C, opt)
+func analyzeBCOO[I matrix.Index](m *matrix.BCOO[I], opt Options, w *window) Summary {
+	w, b0, n0 := gather(w, m.C+m.Shape.C, opt)
 	for t := range m.BCol {
 		c0 := int(m.BCol[t]) * m.Shape.C
 		w.touchRange(c0, c0+m.Shape.C)
 	}
 	return Summary{
 		MatrixBytes: m.FootprintBytes(),
-		SourceBytes: w.bytes,
+		SourceBytes: w.bytes - b0,
 		DestBytes:   destBytes(m.R, opt),
 		Flops:       2 * m.NNZ(),
 		StoredFlops: 2 * m.Stored(),
 		Tiles:       m.Blocks(),
 		LoopRows:    0, // flat loop over tiles
-		Windows:     w.windows,
+		Windows:     w.windows - n0,
 	}
 }
 

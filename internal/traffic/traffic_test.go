@@ -384,3 +384,66 @@ func TestSymmetricHalvesMatrixStream(t *testing.T) {
 		t.Errorf("dest bytes %d, want 2x CSR's %d (scatter read-modify-write)", st.DestBytes, ft.DestBytes)
 	}
 }
+
+// TestAnalyzeBands checks the row-band model: matrix streams and flops
+// add up over the bands, while one source window carried across them in
+// row order charges exactly what the whole matrix's gather does — for CSR
+// bands, and for 1×4 blocked bands whose tiles gather past the last
+// column (61 is not a multiple of 4).
+func TestAnalyzeBands(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	coo := fillRandom(matrix.NewCOO(90, 61), rng, 900)
+	whole, err := matrix.NewCSR[uint32](coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int{0, 17, 18, 60, 90}
+	encode := map[string]func(*matrix.CSR32) (matrix.Format, error){
+		"csr32": func(c *matrix.CSR32) (matrix.Format, error) { return c, nil },
+		"bcsr1x4": func(c *matrix.CSR32) (matrix.Format, error) {
+			return matrix.NewBCSR[uint32](c, matrix.BlockShape{R: 1, C: 4})
+		},
+	}
+	for name, enc := range encode {
+		wholeEnc, err := enc(whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bands []matrix.Format
+		for i := 0; i+1 < len(bounds); i++ {
+			sub, err := matrix.NewCSR[uint32](whole.SubmatrixCOO(bounds[i], bounds[i+1], 0, whole.C))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := enc(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bands = append(bands, b)
+		}
+		for _, opt := range []Options{{LineBytes: 64}, {LineBytes: 8, SourceCapacityLines: 5}} {
+			want, err := Analyze(wholeEnc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := AnalyzeBands(bands, whole.C, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var matrixBytes int64
+			for _, b := range bands {
+				matrixBytes += b.FootprintBytes()
+			}
+			if got.SourceBytes != want.SourceBytes || got.Windows != want.Windows {
+				t.Errorf("%s %+v: source %d B in %d windows, whole matrix %d B in %d",
+					name, opt, got.SourceBytes, got.Windows, want.SourceBytes, want.Windows)
+			}
+			if got.MatrixBytes != matrixBytes || got.Flops != want.Flops {
+				t.Errorf("%s %+v: matrix %d B, flops %d; want %d B, %d", name, opt, got.MatrixBytes, got.Flops, matrixBytes, want.Flops)
+			}
+		}
+	}
+	if _, err := AnalyzeBands([]matrix.Format{nil}, 4, Options{}); err == nil {
+		t.Error("unknown band format accepted")
+	}
+}

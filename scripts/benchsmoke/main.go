@@ -350,7 +350,6 @@ func pinnedConfig() server.Config {
 	cfg := server.DefaultConfig()
 	cfg.Threads = 1
 	cfg.Workers = 1
-	cfg.Shards = 1
 	return cfg
 }
 

@@ -42,7 +42,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/mmio"
-	"repro/internal/partition"
 	"repro/internal/traffic"
 	"repro/internal/tune"
 )
@@ -182,11 +181,12 @@ type Operator struct {
 	baseline   int64
 	threads    int
 
-	// src points at the source matrix's entries so the multi-RHS hooks
-	// (Multi, RowPartition, Traffic fallback) can rebuild CSR storage on
-	// first use. The CSR itself is NOT retained eagerly: callers that
-	// never touch the hooks pay nothing beyond the tuned encoding. nil
-	// for operators without a coordinate source (CompileSymmetric).
+	// src points at the source matrix's entries so Retune can re-run the
+	// tuner and the CSR hooks (Multi, MultiTraffic, Traffic's fallback for
+	// parallel composites) can build CSR storage on first use. The CSR
+	// itself is NOT retained eagerly: callers that stream the compiled
+	// encoding (MulAdd, WideMulti, WideTraffic) never build it. nil for
+	// operators without a coordinate source (CompileSymmetric).
 	src *matrix.COO
 
 	// sym is the symmetric sweep kernel when this operator is backed by
@@ -316,13 +316,14 @@ func (o *Operator) Savings() float64 {
 // Decisions returns the tuner's per-cache-block decision log.
 func (o *Operator) Decisions() []Decision { return o.decisions }
 
-// Multi returns a width-k multi-RHS view of the operator: one call
-// multiplies k vectors while streaming the matrix once (§2.1's
-// multiple-vectors optimization). The backing CSR is built on first hook
-// use and views are cached per width, so a serving layer can request the
-// same width repeatedly at zero cost. Multi is safe for concurrent use,
-// as are the returned views. Symmetric operators return a view over the
-// parallel symmetric sweep, keeping the halved matrix stream.
+// Multi returns a width-k multi-RHS view over a plain CSR32 copy of the
+// matrix: one call multiplies k vectors while streaming the matrix once
+// (§2.1's multiple-vectors optimization), whatever encoding the tuner
+// chose. The CSR copy is built on first use and views are cached per
+// width. Multi is safe for concurrent use, as are the returned views.
+// Symmetric operators return a view over the parallel symmetric sweep,
+// keeping the halved matrix stream. WideMulti streams the compiled
+// encoding instead and builds no copy.
 func (o *Operator) Multi(width int) (*MultiOperator, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("spmv: need at least 1 vector, got %d", width)
@@ -340,11 +341,11 @@ func (o *Operator) Multi(width int) (*MultiOperator, error) {
 		if err != nil {
 			return nil, err
 		}
-		mv, err := kernel.NewMultiVec(csr, width)
+		w, err := kernel.NewWide(csr, width)
 		if err != nil {
 			return nil, err
 		}
-		mo = &MultiOperator{mv: mv, nv: width, rows: o.rows, cols: o.cols}
+		mo = &MultiOperator{w: w, nv: width, rows: o.rows, cols: o.cols}
 	}
 	if o.multi == nil {
 		o.multi = make(map[int]*MultiOperator)
@@ -354,19 +355,22 @@ func (o *Operator) Multi(width int) (*MultiOperator, error) {
 }
 
 // WideMulti returns a width-k multi-RHS view that streams the operator's
-// tuned encoding itself — register blocks, cache blocks, reduced indices
-// and all — instead of the plain CSR fallback Multi's views stream. It
-// combines the paper's two biggest bandwidth reductions (data-structure
-// compression, §4.2, and multiple vectors, §2.1) in one sweep: the fused
-// matrix stream shrinks by the tuner's footprint saving.
+// compiled encoding itself — register blocks, cache blocks, reduced
+// indices, thread parts and all — instead of the CSR copy Multi's views
+// stream. It combines the paper's two biggest bandwidth reductions
+// (data-structure compression, §4.2, and multiple vectors, §2.1) in one
+// sweep: the fused matrix stream shrinks by the tuner's footprint saving.
+// Parallel operators fan the sweep out over their thread parts (see
+// MulAddBlockExec).
 //
 // Bits: each lane of a wide view accumulates in the encoding's own order,
 // so lane results match the operator's single-vector MulAdd (per tuned
 // block), not necessarily Multi's CSR bits. Wide views over plain CSR
 // encodings (any index width, serial or row-partitioned) reproduce
-// Multi's bits exactly — the property the serving layer's re-tuner relies
-// on to promote a compacted encoding without changing responses. Views
-// are cached per width and safe for concurrent use.
+// Multi's bits exactly — the property the serving layer relies on to
+// serve every general matrix through its own compiled operator and to
+// promote a compacted encoding without changing responses. Views are
+// cached per width and safe for concurrent use.
 func (o *Operator) WideMulti(width int) (*MultiOperator, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("spmv: need at least 1 vector, got %d", width)
@@ -416,35 +420,6 @@ func (o *Operator) Retune(opt TuneOptions) (*Operator, error) {
 // (SymCSR) storage.
 func (o *Operator) Symmetric() bool { return o.sym != nil }
 
-// RowRange is a half-open row interval [Lo, Hi) with its nonzero count,
-// produced by RowPartition for shard planning.
-type RowRange struct {
-	Lo, Hi int
-	NNZ    int64
-}
-
-// RowPartition splits the operator's rows into n contiguous ranges
-// balanced by nonzeros (the paper's §4.3 static load balancing). Disjoint
-// ranges own disjoint destination rows, so shards of one sweep — serial or
-// multi-RHS via MulAddRows — can run concurrently with no locking.
-func (o *Operator) RowPartition(n int) ([]RowRange, error) {
-	o.multiMu.Lock()
-	csr, err := o.csrLocked()
-	o.multiMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	p, err := partition.ByNNZ(csr.RowPtr, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RowRange, len(p.Ranges))
-	for i, r := range p.Ranges {
-		out[i] = RowRange{Lo: r.Lo, Hi: r.Hi, NNZ: r.NNZ}
-	}
-	return out, nil
-}
-
 // TrafficOptions configures the DRAM-traffic model of internal/traffic.
 type TrafficOptions = traffic.Options
 
@@ -454,8 +429,8 @@ type TrafficSummary = traffic.Summary
 
 // Traffic models the DRAM traffic of one y ← A·x sweep over the compiled
 // encoding (§5.1's flop:byte analysis, made executable). Parallel
-// composites fall back to the retained CSR stream, which is also what
-// multi-RHS sweeps stream.
+// composites fall back to the CSR copy's stream, building the copy;
+// WideTraffic models their compiled parts instead.
 func (o *Operator) Traffic(opt TrafficOptions) (TrafficSummary, error) {
 	s, err := traffic.Analyze(o.k.Format(), opt)
 	if err != nil && o.src != nil {
@@ -471,10 +446,8 @@ func (o *Operator) Traffic(opt TrafficOptions) (TrafficSummary, error) {
 }
 
 // MultiTraffic models the DRAM traffic of one sweep through Multi's
-// CSR-backed fused views — the retained CSR stream, whatever the tuner
-// chose for the single-vector kernel. A serving layer that fuses requests
-// over the CSR fallback accounts its sweeps with this, not with the tuned
-// encoding Traffic reports for serial operators.
+// CSR-backed fused views — the CSR copy's stream, whatever the tuner
+// chose for the single-vector kernel. It builds the copy on first use.
 func (o *Operator) MultiTraffic(opt TrafficOptions) (TrafficSummary, error) {
 	o.multiMu.Lock()
 	csr, err := o.csrLocked()
@@ -485,35 +458,23 @@ func (o *Operator) MultiTraffic(opt TrafficOptions) (TrafficSummary, error) {
 	return traffic.Analyze(csr, opt)
 }
 
-// WideTraffic models the DRAM traffic of one fused sweep through the
-// tuned wide views (WideMulti): the tuned encodings themselves stream —
-// summed across the thread parts of a parallel operator — rather than the
-// retained-CSR fallback Traffic reports for parallel composites. It is the
+// WideTraffic models the DRAM traffic of one fused sweep through the wide
+// views (WideMulti): the compiled encodings themselves stream. For a
+// parallel operator the thread parts' streams and destination lines add
+// up, while the source gather is one working-set window carried across
+// the parts in row order — they share the broadcast source block, so a
+// column two parts touch is not charged twice (traffic.AnalyzeBands). It
+// reads only the compiled parts and never builds the CSR copy. It is the
 // single-RHS basis; scale with TrafficSummary.MultiRHS or score a request
 // mix with BlendedPerRequest.
 func (o *Operator) WideTraffic(opt TrafficOptions) (TrafficSummary, error) {
 	if p, ok := o.k.(*kernel.Parallel); ok && o.sym == nil {
-		var total traffic.Summary
-		for _, part := range p.Parts() {
-			s, err := traffic.Analyze(part.Enc, opt)
-			if err != nil {
-				return TrafficSummary{}, err
-			}
-			total.Add(s)
+		parts := p.Parts()
+		bands := make([]matrix.Format, len(parts))
+		for i, part := range parts {
+			bands[i] = part.Enc
 		}
-		// The parts of one fused sweep share the broadcast source block, so
-		// x's compulsory traffic is the whole-matrix gather, not the
-		// per-part sum (which would charge the shared columns once per
-		// part). The retained CSR gives the union of touched columns.
-		o.multiMu.Lock()
-		csr, err := o.csrLocked()
-		o.multiMu.Unlock()
-		if err == nil {
-			if whole, werr := traffic.Analyze(csr, opt); werr == nil {
-				total.SourceBytes = whole.SourceBytes
-			}
-		}
-		return total, nil
+		return traffic.AnalyzeBands(bands, o.cols, opt)
 	}
 	return traffic.Analyze(o.k.Format(), opt)
 }
@@ -603,13 +564,12 @@ func Symmetrize(m *Matrix) (*Matrix, error) {
 // MultiOperator multiplies a block of k vectors in one matrix sweep — the
 // multiple-vectors optimization (OSKI, §2.1), which raises the effective
 // flop:byte ratio by nearly k for bandwidth-bound SpMV. It is backed by
-// either the CSR block kernel or, for symmetric operators, the parallel
-// symmetric sweep (which streams the halved upper-triangle store once for
-// all k vectors).
+// either a wide kernel (kernel.Wide, over a CSR copy or the compiled
+// encoding) or, for symmetric operators, the parallel symmetric sweep
+// (which streams the halved upper-triangle store once for all k vectors).
 type MultiOperator struct {
-	mv         *kernel.MultiVec // CSR-backed views
 	sym        *kernel.SymSweep // symmetric-operator views
-	w          kernel.Wide      // tuned-encoding views (WideMulti)
+	w          kernel.Wide      // every other view
 	nv         int
 	rows, cols int
 }
@@ -620,11 +580,11 @@ func CompileMulti(m *Matrix, vectors int) (*MultiOperator, error) {
 	if err != nil {
 		return nil, err
 	}
-	mv, err := kernel.NewMultiVec(csr, vectors)
+	w, err := kernel.NewWide(csr, vectors)
 	if err != nil {
 		return nil, err
 	}
-	return &MultiOperator{mv: mv, nv: vectors, rows: csr.R, cols: csr.C}, nil
+	return &MultiOperator{w: w, nv: vectors, rows: csr.R, cols: csr.C}, nil
 }
 
 // Vectors returns the block width k.
@@ -656,49 +616,26 @@ func (o *MultiOperator) MulAddBlock(yBlock, xBlock []float64) error {
 	if o.sym != nil {
 		return o.sym.MulAddWidth(yBlock, xBlock, o.nv)
 	}
-	if o.w != nil {
-		return o.w.MulAddBlock(yBlock, xBlock)
-	}
-	return o.mv.MulAdd(yBlock, xBlock)
+	return o.w.MulAddBlock(yBlock, xBlock)
 }
 
 // MulAddBlockExec is MulAddBlock with the view's internal parallel task
 // sets scheduled through run (which must execute every task and return
-// once all complete — e.g. a serving worker pool). Scheduling never
-// changes result bits. Only symmetric views parallelize internally;
-// CSR-backed views have no internal tasks and run the plain sweep.
+// once all complete — e.g. a serving worker pool): the symmetric sweep's
+// segment tasks, a parallel operator's thread parts, or a serial view's
+// one sweep. Scheduling never changes result bits.
 func (o *MultiOperator) MulAddBlockExec(yBlock, xBlock []float64, run func(tasks []func())) error {
 	if o.sym != nil {
 		return o.sym.MulAddWidthExec(yBlock, xBlock, o.nv, kernel.Exec(run))
 	}
-	if o.w != nil {
-		if wp, ok := o.w.(*kernel.WideParallel); ok {
-			return wp.MulAddBlockExec(yBlock, xBlock, kernel.Exec(run))
-		}
-		// Serial wide kernels have one internal task: the sweep itself.
-		// Routing it through run keeps it under the executor's bounds.
-		var err error
-		run([]func(){func() { err = o.w.MulAddBlock(yBlock, xBlock) }})
-		return err
+	if wp, ok := o.w.(*kernel.WideParallel); ok {
+		return wp.MulAddBlockExec(yBlock, xBlock, kernel.Exec(run))
 	}
-	return o.mv.MulAdd(yBlock, xBlock)
-}
-
-// MulAddRows computes rows [lo, hi) of Y ← Y + A·X over interleaved
-// blocks. Disjoint row ranges write disjoint regions of yBlock, so the
-// shards of one fused sweep (see Operator.RowPartition) run concurrently
-// without synchronization. Symmetric views reject it: the symmetric
-// scatter writes outside [lo, hi), so a symmetric sweep cannot be
-// row-sharded externally — use MulAddBlock, which parallelizes
-// internally with a deterministic reduction.
-func (o *MultiOperator) MulAddRows(yBlock, xBlock []float64, lo, hi int) error {
-	if o.sym != nil {
-		return fmt.Errorf("spmv: symmetric multi-RHS sweeps cannot be row-sharded externally; use MulAddBlock")
-	}
-	if o.w != nil {
-		return fmt.Errorf("spmv: tuned wide sweeps parallelize internally and cannot be row-sharded externally; use MulAddBlock")
-	}
-	return o.mv.MulAddRows(yBlock, xBlock, lo, hi)
+	// Serial wide kernels have one internal task: the sweep itself.
+	// Routing it through run keeps it under the executor's bounds.
+	var err error
+	run([]func(){func() { err = o.w.MulAddBlock(yBlock, xBlock) }})
+	return err
 }
 
 // Interleave packs k equal-length column vectors into the row-major block

@@ -433,8 +433,9 @@ func TestReorderRCM(t *testing.T) {
 	}
 }
 
-// TestOperatorMultiRHSHooks covers the serving-layer hooks: cached Multi
-// views, nonzero-balanced RowPartition, sharded MulAddRows, and Traffic.
+// TestOperatorMultiRHSHooks covers the multi-RHS hooks: cached Multi
+// views, a fused sweep through them and through a parallel operator's
+// wide view under an external executor, and Traffic.
 func TestOperatorMultiRHSHooks(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	m := buildRandom(t, rng, 120, 90, 1000)
@@ -462,24 +463,9 @@ func TestOperatorMultiRHSHooks(t *testing.T) {
 		t.Errorf("multi dims %dx%d", r, c)
 	}
 
-	// RowPartition tiles the rows and balances nonzeros.
-	parts, err := op.RowPartition(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, total := 0, int64(0)
-	for _, p := range parts {
-		if p.Lo != at {
-			t.Fatalf("partition gap at row %d: %+v", at, parts)
-		}
-		at = p.Hi
-		total += p.NNZ
-	}
-	if at != 120 || total != op.NNZ() {
-		t.Errorf("partition covers %d rows / %d nnz, want 120 / %d", at, total, op.NNZ())
-	}
-
-	// A sweep sharded by the partition matches per-vector reference Muls.
+	// A fused sweep — through the CSR view, and through a parallel
+	// operator's wide view with its thread parts run by an external
+	// executor — matches per-vector reference Muls.
 	xs := make([][]float64, 4)
 	for v := range xs {
 		xs[v] = make([]float64, 90)
@@ -491,21 +477,38 @@ func TestOperatorMultiRHSHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yBlock := make([]float64, 120*4)
-	for _, p := range parts {
-		if err := mo4a.MulAddRows(yBlock, xBlock, p.Lo, p.Hi); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ys, err := spmv.Deinterleave(yBlock, 4)
+	par, err := spmv.CompileParallel(m, spmv.NaiveOptions(), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range ys {
-		want := naiveMul(m, xs[v])
-		for i := range want {
-			if math.Abs(ys[v][i]-want[i]) > 1e-9 {
-				t.Fatalf("vector %d row %d: %g vs %g", v, i, ys[v][i], want[i])
+	pmo, err := par.WideMulti(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialRun := func(tasks []func()) {
+		for _, task := range tasks {
+			task()
+		}
+	}
+	sweeps := map[string]func(y []float64) error{
+		"multi":         func(y []float64) error { return mo4a.MulAddBlock(y, xBlock) },
+		"parallel-wide": func(y []float64) error { return pmo.MulAddBlockExec(y, xBlock, serialRun) },
+	}
+	for name, sweep := range sweeps {
+		yBlock := make([]float64, 120*4)
+		if err := sweep(yBlock); err != nil {
+			t.Fatal(err)
+		}
+		ys, err := spmv.Deinterleave(yBlock, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range ys {
+			want := naiveMul(m, xs[v])
+			for i := range want {
+				if math.Abs(ys[v][i]-want[i]) > 1e-9 {
+					t.Fatalf("%s: vector %d row %d: %g vs %g", name, v, i, ys[v][i], want[i])
+				}
 			}
 		}
 	}
@@ -523,9 +526,7 @@ func TestOperatorMultiRHSHooks(t *testing.T) {
 		t.Errorf("MultiRHS scaling wrong: %+v vs %+v", fused, tr)
 	}
 
-	// Symmetric operators route Multi through the symmetric sweep; only
-	// external row sharding (RowPartition / MulAddRows) is refused, since
-	// the symmetric scatter escapes any row range.
+	// Symmetric operators route Multi through the symmetric sweep.
 	sym := spmv.NewMatrix(3, 3)
 	for i := 0; i < 3; i++ {
 		if err := sym.Set(i, i, float64(i+1)); err != nil {
@@ -546,12 +547,6 @@ func TestOperatorMultiRHSHooks(t *testing.T) {
 	}
 	if sys[0][0] != 1 || sys[0][1] != 2 || sys[0][2] != 3 || sys[1][2] != 6 {
 		t.Errorf("symmetric MulAll = %v", sys)
-	}
-	if err := smo.MulAddRows(make([]float64, 6), make([]float64, 6), 0, 2); err == nil {
-		t.Error("MulAddRows on symmetric view accepted")
-	}
-	if _, err := sop.RowPartition(2); err == nil {
-		t.Error("RowPartition on symmetric operator accepted")
 	}
 }
 
