@@ -31,7 +31,7 @@ type API interface {
 	// registered (non-sharded) matrix.
 	Patch(id string, deltas []Delta) (PatchResult, error)
 	// DeleteMatrix tears a matrix down: cancels and drains its solver
-	// sessions, evicts its caches, and (sharded) unregisters its bands.
+	// sessions and (sharded) unregisters its bands.
 	DeleteMatrix(id string) (DeleteResult, error)
 	// SolveOpts creates a solver session under the admission options.
 	SolveOpts(id string, req SolveRequest, opts SolveOptions) (SolveStatus, error)

@@ -4,9 +4,9 @@ import "errors"
 
 // Sentinel errors classifying serving failures. The HTTP layer maps them
 // to status codes with errors.Is — not substring matching — so wrapped
-// causes keep their classification across layers, and HTTPTransport
-// restores them from member status codes so the classification survives
-// the wire too.
+// causes keep their classification across layers, and HTTPClient (which
+// HTTPTransport talks to members through) restores them from the error
+// envelope's code so the classification survives the wire too.
 var (
 	// ErrUnknownMatrix: the requested matrix id is not registered (404).
 	ErrUnknownMatrix = errors.New("server: unknown matrix")

@@ -687,8 +687,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	e.Counter("spmv_serve_fused_requests_total", "Requests served by fused sweeps.", float64(st.FusedRequests))
 	e.Counter("spmv_serve_single_fallbacks_total", "Requests served alone, as width-1 sweeps on the fused path.", float64(st.SingleFallbacks))
 	e.Gauge("spmv_serve_matrices_registered", "Matrices in the registry.", float64(st.Registered))
-	e.Counter("spmv_serve_compiles_total", "Tuner+compile runs (operator-cache misses).", float64(st.Compiles))
-	e.Counter("spmv_serve_compile_hits_total", "Operator-cache hits.", float64(st.CompileHits))
+	e.Counter("spmv_serve_compiles_total", "Operator compiles: registrations, recompactions and re-tune candidates.", float64(st.Compiles))
 	e.Counter("spmv_serve_retune_evals_total", "Drifted matrices shadow-benchmarked by the re-tuner.", float64(st.RetuneEvals))
 	e.Counter("spmv_serve_retune_promotions_total", "Re-tuned operators promoted to serving.", float64(st.RetunePromotions))
 	e.Counter("spmv_serve_retune_rejections_total", "Re-tune candidates rejected by the shadow benchmark.", float64(st.RetuneRejections))

@@ -200,8 +200,8 @@ func (s *Server) Recompact(id string) error {
 //     compilation, the dominant cost — while patches keep landing.
 //  3. Under tuneMu again: rebuild the delta log over the folded base,
 //     replay the ops that arrived during phase 2 (Tail(seq)), swap the
-//     entry's base and operator caches, and promote a new serving
-//     snapshot (gen+1) carrying whatever overlay the replay left.
+//     entry's base, and promote a new serving snapshot (gen+1) carrying
+//     the folded operator and whatever overlay the replay left.
 //
 // Symmetric-served entries re-verify symmetry on the folded matrix:
 // deltas that broke it demote the entry to general storage (the
@@ -230,7 +230,7 @@ func (s *Server) recompactEntry(e *Entry) error {
 	demoted := false
 	if wasSym {
 		if folded.IsSymmetric() {
-			op, err := spmv.CompileSymmetricParallel(folded, s.cfg.Threads)
+			op, err := s.compile(folded, true, spmv.TuneOptions{})
 			if err != nil {
 				return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 			}
@@ -243,13 +243,13 @@ func (s *Server) recompactEntry(e *Entry) error {
 		}
 	}
 	if def == nil {
-		op, err := spmv.CompileParallel(folded, spmv.NaiveOptions(), s.cfg.Threads, 1)
+		op, err := s.compile(folded, false, spmv.NaiveOptions())
 		if err != nil {
 			return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 		}
 		def = op
 	}
-	nsv, err := s.newServing(def)
+	nsv, err := newServing(def)
 	if err != nil {
 		return fmt.Errorf("server: recompact %q: %w", e.ID, err)
 	}
@@ -279,27 +279,12 @@ func (s *Server) recompactEntry(e *Entry) error {
 	// promotion: the folded generation's achieved bandwidth is measured on
 	// its own sweeps.
 	nsv.gen, nsv.ov, nsv.ovBytes = sv.gen+1, ov, ovBytes
-	// Swap the base and reset the operator caches to exactly the folded
-	// operator under its canonical key — the old encodings serve a matrix
-	// that no longer exists, and the re-tuner's eviction logic (drop)
-	// keys off these maps.
-	e.mu.Lock()
 	e.m = folded
 	e.nnz.Store(folded.NNZ())
-	e.ops = make(map[opKey]*spmv.Operator)
-	e.symOps = make(map[int]*spmv.Operator)
-	if nsv.sym {
-		e.symOps[s.cfg.Threads] = def
-	} else {
-		e.ops[*nsv.cacheKey] = def
-	}
-	e.mu.Unlock()
 	e.cur.Store(nsv)
 	e.log = newLog // nil when no tail: the next PATCH re-indexes lazily
 	// The base changed: CG admission must re-judge symmetry against it.
-	e.symMu.Lock()
 	e.symChecked = false
-	e.symMu.Unlock()
 	reason := fmt.Sprintf("folded %d deltas into the base", seq)
 	if demoted {
 		reason += "; symmetry broken, demoted to general storage"
@@ -326,32 +311,21 @@ func (s *Server) recompactEntry(e *Entry) error {
 
 // DeleteMatrix tears a matrix down: the id leaves the registry first (new
 // requests see ErrUnknownMatrix), then its resident solver sessions are
-// cancelled and drained, its batchers purged, and its operator caches
-// released. Sweeps already in flight finish safely on the immutable
-// snapshots they loaded. Cluster-sharded matrices additionally
+// cancelled and drained and its batchers purged. Sweeps already in flight
+// finish safely on the immutable snapshots they loaded; the entry and its
+// operator are garbage once they do. Cluster-sharded matrices additionally
 // unregister their band registrations on the members, best-effort.
 func (s *Server) DeleteMatrix(id string) (DeleteResult, error) {
-	e, err := s.reg.Get(id)
-	if err != nil {
+	if !s.reg.remove(id) {
+		// Not a local entry (or a concurrent DELETE won the race).
 		if s.cluster != nil && s.cluster.Has(id) {
 			return s.clusterDelete(id)
 		}
-		return DeleteResult{}, err
-	}
-	if !s.reg.remove(id) {
-		// Lost the race with a concurrent DELETE.
 		return DeleteResult{}, fmt.Errorf("%w %q", ErrUnknownMatrix, id)
 	}
 	res := DeleteResult{ID: id}
 	res.CancelledSessions = s.cancelMatrixSessions(id)
 	s.purgeBatchers(id)
-	// Release the operator caches: in-flight work holds what it needs via
-	// its snapshot; these references would otherwise pin matrix-sized
-	// encodings until GC finds the entry unreachable.
-	e.mu.Lock()
-	e.ops = nil
-	e.symOps = nil
-	e.mu.Unlock()
 	s.st.deletes.Add(1)
 	s.log.Info("matrix deleted", slog.String("matrix", id),
 		slog.Int("cancelled_sessions", res.CancelledSessions))

@@ -1,5 +1,5 @@
 // Package server is the SpMV serving subsystem: a matrix registry that
-// compiles and caches operators and re-tunes them online (§4.2), an
+// compiles one operator per matrix and re-tunes it online (§4.2), an
 // adaptive batcher that coalesces concurrent single-vector requests into
 // fused multi-RHS sweeps (§2.1's multiple-vectors optimization — the
 // matrix streams once for k requests), and a worker pool that runs each
@@ -18,13 +18,6 @@ import (
 	"repro/internal/matrix/delta"
 	"repro/internal/obs"
 )
-
-// opKey identifies one compiled operator: tune options plus parallel width.
-// tune.Options is a flat value struct, so the pair is directly comparable.
-type opKey struct {
-	opts    spmv.TuneOptions
-	threads int
-}
 
 // serving is one immutable serving configuration for an entry: the
 // operator answering requests, how its fused sweeps execute, and the
@@ -45,10 +38,6 @@ type serving struct {
 	// Modeled single-RHS sweep traffic (internal/traffic) of the serving
 	// path, the basis for the server's bytes-moved counters.
 	matrixBytes, sourceBytes, destBytes int64
-	// cacheKey locates op in the entry's general-operator cache so a
-	// later promotion can evict the demoted encoding; nil when op is the
-	// symmetric operator (cached per thread count instead).
-	cacheKey *opKey
 	// ov is the delta overlay sweeps apply after the base-operator pass
 	// (nil when the entry has no pending deltas), and ovBytes its modeled
 	// per-sweep stream (traffic.OverlaySweepBytes) — the extra bandwidth
@@ -78,25 +67,20 @@ func (sv *serving) summary() spmv.TrafficSummary {
 	}
 }
 
-// Entry is one registered matrix with its cached compiled operators and
-// precomputed serving metadata.
+// Entry is one registered matrix with its serving snapshot and precomputed
+// serving metadata. The snapshot is the sole owner of the entry's compiled
+// operator: a promotion or recompaction replaces it, and the operator it
+// displaces is garbage once in-flight sweeps finish.
 type Entry struct {
 	ID   string
 	Name string // human label (suite name, "upload", ...)
 
-	// m is the base matrix; recompaction replaces it (under both tuneMu
-	// and mu — its readers hold one or the other) along with nnz, which is
-	// atomic because listings read it lock-free.
+	// m is the base matrix; recompaction replaces it under tuneMu, which
+	// every reader holds, along with nnz, which is atomic because listings
+	// read it lock-free.
 	m          *spmv.Matrix
 	rows, cols int
 	nnz        atomic.Int64
-
-	mu  sync.Mutex
-	ops map[opKey]*spmv.Operator
-
-	// symOps caches compiled symmetric operators by thread count (they
-	// have no tune options), mirroring the ops cache.
-	symOps map[int]*spmv.Operator
 
 	// cur is the entry's serving snapshot; nil until the registration-time
 	// tune finishes. See serving.
@@ -139,13 +123,13 @@ type Entry struct {
 	// callers.
 	bufs sync.Pool // *blockBuf
 
-	// symMu/symChecked/symSeq/symIs cache the numeric-symmetry answer for
+	// symChecked/symSeq/symIs cache the numeric-symmetry answer for
 	// solver admission (see Entry.isSymmetricMatrix): CG requires the
 	// matrix to be symmetric whatever storage family serves it, and the
 	// exact transpose comparison is worth paying once per mutation epoch,
 	// not per session. The cache is keyed by the delta log's seq (and reset
 	// by recompaction), because a patch can create or break symmetry.
-	symMu      sync.Mutex
+	// Guarded by tuneMu.
 	symChecked bool
 	symSeq     int
 	symIs      bool
@@ -179,75 +163,13 @@ func (e *Entry) Dims() (rows, cols int) { return e.rows, e.cols }
 // NNZ returns the matrix's logical nonzero count.
 func (e *Entry) NNZ() int64 { return e.nnz.Load() }
 
-// Operator returns the compiled operator for the given tune options and
-// thread count, compiling on first use and serving every later request for
-// the same key from cache. It is the registry's "tune once per matrix"
-// contract: the §4.2 tuner pass and kernel compilation are paid once per
-// (matrix, options, threads).
-func (e *Entry) Operator(opts spmv.TuneOptions, threads int, st *stats) (*spmv.Operator, error) {
-	key := opKey{opts: opts, threads: threads}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if op, ok := e.ops[key]; ok {
-		if st != nil {
-			st.compileHits.Add(1)
-		}
-		return op, nil
+// Operator returns the operator serving the entry, or nil while its
+// registration-time compile is still running.
+func (e *Entry) Operator() *spmv.Operator {
+	if sv := e.cur.Load(); sv != nil {
+		return sv.op
 	}
-	op, err := spmv.CompileParallel(e.m, opts, threads, 1)
-	if err != nil {
-		return nil, err
-	}
-	if e.ops == nil {
-		e.ops = make(map[opKey]*spmv.Operator)
-	}
-	e.ops[key] = op
-	if st != nil {
-		st.compiles.Add(1)
-	}
-	return op, nil
-}
-
-// SymOperator returns the compiled parallel symmetric operator for the
-// given thread count, compiling on first use and caching like Operator.
-// It fails when the matrix is not numerically symmetric.
-func (e *Entry) SymOperator(threads int, st *stats) (*spmv.Operator, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if op, ok := e.symOps[threads]; ok {
-		if st != nil {
-			st.compileHits.Add(1)
-		}
-		return op, nil
-	}
-	op, err := spmv.CompileSymmetricParallel(e.m, threads)
-	if err != nil {
-		return nil, err
-	}
-	if e.symOps == nil {
-		e.symOps = make(map[int]*spmv.Operator)
-	}
-	e.symOps[threads] = op
-	if st != nil {
-		st.compiles.Add(1)
-	}
-	return op, nil
-}
-
-// dropOperator evicts a cached general operator, and dropSymOperator a
-// cached symmetric one. prepare and the re-tuner use them to release the
-// losers of their comparisons — the encoding would otherwise sit
-// unreachable in the cache for the entry's lifetime.
-func (e *Entry) dropOperator(opts spmv.TuneOptions, threads int) {
-	e.mu.Lock()
-	delete(e.ops, opKey{opts: opts, threads: threads})
-	e.mu.Unlock()
-}
-
-func (e *Entry) dropSymOperator(threads int) {
-	e.mu.Lock()
-	delete(e.symOps, threads)
-	e.mu.Unlock()
+	return nil
 }
 
 // MaxDeclaredDim caps a registered matrix's declared rows and columns

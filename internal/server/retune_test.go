@@ -187,6 +187,65 @@ func TestRetunePromotionDeterministicBitwise(t *testing.T) {
 	}
 }
 
+// TestRetuneLeavesSymmetricBits: a symmetric entry whose workload drifts
+// to width-16 bursts is not re-tuned. Its storage sums in a different
+// order than any CSR candidate, so a promotion would move response bits
+// that the registration fixed.
+func TestRetuneLeavesSymmetricBits(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Threads = 2
+	cfg.Workers = 2
+	cfg.MaxBatch = 16
+	cfg.BatchWindow = 20 * time.Millisecond
+	cfg.Adaptive = false
+	cfg.RetuneMinRequests = 16
+	s := New(cfg)
+	defer s.Close()
+
+	const n = 3000
+	info, err := s.RegisterOpts("a", "sym", testSymmetric(t, n, 6000, 9), RegisterOptions{Symmetric: boolPtr(true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Symmetric {
+		t.Fatalf("registered %+v, want symmetric storage", info)
+	}
+	xs := make([][]float64, 16)
+	for v := range xs {
+		xs[v] = testVector(n, int64(800+v))
+	}
+	lone := make([][]float64, len(xs))
+	for v := range xs {
+		lone[v] = mulBits(t, s, "a", xs[v])
+	}
+	for round := 0; round < 6; round++ {
+		burst(t, s, "a", xs)
+	}
+	rep, err := s.Tuning("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ObservedMedianWidth < 8 {
+		t.Fatalf("observed median width %d after wide bursts, want >= 8", rep.ObservedMedianWidth)
+	}
+
+	if got := s.RetuneOnce(); got != 0 {
+		t.Fatalf("re-tuner promoted %d operators on a symmetric entry, want 0", got)
+	}
+	if rep, err = s.Tuning("a"); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Symmetric || rep.Generation != 0 {
+		t.Fatalf("after RetuneOnce: symmetric=%v generation=%d, want true/0", rep.Symmetric, rep.Generation)
+	}
+	got := burst(t, s, "a", xs)
+	for v := range got {
+		if !sameBits(got[v], lone[v]) {
+			t.Fatalf("lane %d: bits changed after RetuneOnce", v)
+		}
+	}
+}
+
 // TestRetuneRejectionWhenNoImprovement: when the candidate cannot beat
 // the incumbent, the drifted entry is evaluated but the incumbent keeps
 // serving. With more than 65536 columns the tuner cannot reduce indices
@@ -227,9 +286,16 @@ func TestRetuneRejectionWhenNoImprovement(t *testing.T) {
 		t.Errorf("re-scan without fresh requests re-evaluated the entry")
 	}
 	// And fresh traffic at the same (already-rejected) median width must
-	// not recompile the identical candidate either.
-	for round := 0; round < 4; round++ {
-		burst(t, s, "a", xs)
+	// not recompile the identical candidate either. The traffic is
+	// recorded at exactly that width: how a real burst fuses depends on
+	// the scheduler, and a burst that splits 7+1 moves the median, which
+	// rightly triggers a fresh evaluation.
+	med := e.work.medianWidth()
+	for i := 0; i < cfg.RetuneMinRequests; i++ {
+		e.work.record(med)
+	}
+	if got := e.work.medianWidth(); got != med {
+		t.Fatalf("median moved from %d to %d", med, got)
 	}
 	if s.RetuneOnce(); s.Stats().RetuneEvals != 1 {
 		t.Errorf("unchanged median width re-evaluated an already-rejected candidate")

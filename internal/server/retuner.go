@@ -28,7 +28,9 @@
 // (row-partitioned, any index width), whose wide kernels are bit-identical
 // to the registration-time CSR32 operator's at every width — so a
 // promotion can shrink the fused matrix stream (e.g. 16-bit indices)
-// without changing a single response bit.
+// without changing a single response bit. Symmetric entries are never
+// re-tuned: SymCSR storage sums in a different order than any CSR
+// encoding, so promoting one of them would move every response bit.
 package server
 
 import (
@@ -161,12 +163,9 @@ type retuneCandidate struct {
 	op      *spmv.Operator
 	traffic spmv.TrafficSummary // per-sweep traffic as it would be served
 	score   float64             // modeled bytes per request on the sample
-	// cacheKey locates op in the entry's general-operator cache so a
-	// loser can be evicted instead of holding a matrix-sized encoding.
-	cacheKey *opKey
 }
 
-// evaluateEntry runs steps 2-5 for one entry, reporting whether a
+// evaluateEntry runs steps 2-5 for one general entry, reporting whether a
 // promotion happened. Evaluations of the same entry are serialized by
 // tuneMu — the snapshot is loaded under it, so concurrent RetuneOnce
 // calls and the background scanner always evaluate (and replace) the
@@ -176,7 +175,9 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 	e.tuneMu.Lock()
 	defer e.tuneMu.Unlock()
 	sv := e.cur.Load()
-	if sv == nil {
+	if sv == nil || sv.sym {
+		// Symmetry changes the summation order once, at registration; a
+		// CSR candidate would change it back.
 		return false
 	}
 	req := e.work.requests.Load()
@@ -206,23 +207,6 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 	}
 	incumbentScore := sv.summary().BlendedPerRequest(sample)
 	best := s.buildCandidate(e, med, sample)
-	// Evict a contender's cached encoding — unless it is (or became) the
-	// serving operator — so losers don't hold matrix-sized structures for
-	// the entry's lifetime (the same rule prepare applies to the
-	// auto-symmetric comparison's loser).
-	drop := func(op *spmv.Operator, key *opKey) {
-		// The serving pointer is deliberately re-read: after a promotion's
-		// Store below, this check must see the *new* serving operator — the
-		// sv loaded at evaluation start would spare the demoted incumbent.
-		if op == nil || op == e.cur.Load().op { //spmv:reload-ok must observe the post-promotion snapshot
-			return
-		}
-		if key != nil {
-			e.dropOperator(key.opts, key.threads)
-		} else {
-			e.dropSymOperator(s.cfg.Threads)
-		}
-	}
 	ev := TuningEvent{
 		Time: time.Now(), ObservedWidth: med, Drift: drift,
 		IncumbentBytesPerRequest: incumbentScore,
@@ -233,11 +217,6 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 		ev.Decision = "rejected"
 		ev.Reason = "no viable candidate encoding"
 		ev.Kernel = sv.op.KernelName()
-	case best.op == sv.op:
-		ev.Decision = "rejected"
-		ev.Reason = "candidate is the incumbent"
-		ev.Kernel = sv.op.KernelName()
-		ev.CandidateBytesPerRequest = best.score
 	case best.score < incumbentScore*(1-retunePromoteMargin):
 		nsv := &serving{
 			op:    best.op,
@@ -245,7 +224,6 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 			matrixBytes: best.traffic.MatrixBytes,
 			sourceBytes: best.traffic.SourceBytes,
 			destBytes:   best.traffic.DestBytes,
-			cacheKey:    best.cacheKey,
 			// The overlay rides along: a re-tune changes how the BASE is
 			// served, not the pending deltas, and dropping them here would
 			// silently revert the matrix. (Recompaction, not promotion, is
@@ -261,15 +239,11 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 		ev.Kernel = best.op.KernelName()
 		ev.CandidateBytesPerRequest = best.score
 		ev.Generation = nsv.gen
-		drop(sv.op, sv.cacheKey) // the demoted incumbent
 	default:
 		ev.Decision = "rejected"
 		ev.Reason = fmt.Sprintf("modeled improvement below the %.0f%% promotion margin", 100*retunePromoteMargin)
 		ev.Kernel = best.op.KernelName()
 		ev.CandidateBytesPerRequest = best.score
-	}
-	if best != nil {
-		drop(best.op, best.cacheKey) // a rejected candidate
 	}
 	e.events = append(e.events, ev)
 	if len(e.events) > maxTuningEvents {
@@ -289,14 +263,12 @@ func (s *Server) evaluateEntry(e *Entry) bool {
 // the tuner re-run with retuneOptions — scored on the captured sample. Its
 // fused sweeps would stream the tuned encoding through the wide kernels,
 // so it is scored on that encoding's own traffic — the same model
-// (WideTraffic) that priced the incumbent. The candidate goes
-// through the entry's operator cache (the registry's compile-once
-// contract); the evaluation's decision then evicts it if it loses, and
-// lastRejectedWidth keeps an unchanged median from recompiling it. nil
-// means no viable candidate compiled.
+// (WideTraffic) that priced the incumbent. A losing candidate is simply
+// dropped, and lastRejectedWidth keeps an unchanged median from
+// recompiling it. nil means no viable candidate compiled. The caller
+// holds tuneMu, which pins e.m.
 func (s *Server) buildCandidate(e *Entry, width int, sample []int) *retuneCandidate {
-	opts := retuneOptions(width)
-	op, err := e.Operator(opts, s.cfg.Threads, &s.st)
+	op, err := s.compile(e.m, false, retuneOptions(width))
 	if err != nil {
 		return nil
 	}
@@ -304,10 +276,7 @@ func (s *Server) buildCandidate(e *Entry, width int, sample []int) *retuneCandid
 	if err != nil {
 		return nil
 	}
-	return &retuneCandidate{
-		op: op, traffic: tr, score: tr.BlendedPerRequest(sample),
-		cacheKey: &opKey{opts: opts, threads: s.cfg.Threads},
-	}
+	return &retuneCandidate{op: op, traffic: tr, score: tr.BlendedPerRequest(sample)}
 }
 
 // retuneOptions derives tuner options from the observed workload: index

@@ -370,7 +370,7 @@ func (s *Server) RegisterOpts(id, name string, m *spmv.Matrix, opts RegisterOpti
 	if err != nil {
 		return MatrixInfo{}, err
 	}
-	if err := s.prepare(e, opts); err != nil {
+	if err := s.prepare(e, m, opts); err != nil {
 		// Back the entry out: a rejected registration (e.g. symmetric
 		// required for an asymmetric matrix) must not burn the id or
 		// leave a half-initialized entry in listings.
@@ -390,15 +390,15 @@ func (s *Server) RegisterSuite(id, suite string, scale float64, seed int64) (Mat
 	return s.Register(id, suite, m)
 }
 
-// prepare compiles the entry's default operator and serving snapshot. The
-// storage family comes from opts.Symmetric (see RegisterOptions). General
-// matrices compile untuned (spmv.NaiveOptions): plain CSR32, one part per
-// thread, which their fused sweeps stream until the re-tuner promotes a
-// workload-tuned CSR encoding. In auto mode the symmetric operator is
-// kept only when its footprint beats that CSR32 — the same
-// footprint-minimizing rule the §4.2 heuristic applies between formats,
-// with ties going to general.
-func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
+// prepare compiles the entry's default operator from m, its base matrix,
+// and publishes the serving snapshot. The storage family comes from
+// opts.Symmetric (see RegisterOptions). General matrices compile untuned
+// (spmv.NaiveOptions): plain CSR32, one part per thread, which their
+// fused sweeps stream until the re-tuner promotes a workload-tuned CSR
+// encoding. In auto mode the symmetric operator is kept only when its
+// footprint beats that CSR32 — the same footprint-minimizing rule the
+// §4.2 heuristic applies between formats, with ties going to general.
+func (s *Server) prepare(e *Entry, m *spmv.Matrix, opts RegisterOptions) error {
 	rows, cols := e.Dims()
 	wantSym := s.cfg.AutoSymmetric
 	required := false
@@ -412,7 +412,7 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 				return fmt.Errorf("%w: matrix is %dx%d", ErrNotSymmetric, rows, cols)
 			}
 		} else {
-			op, err := e.SymOperator(s.cfg.Threads, &s.st)
+			op, err := s.compile(m, true, spmv.TuneOptions{})
 			switch {
 			case err != nil && required:
 				return fmt.Errorf("%w: %v", ErrNotSymmetric, err)
@@ -420,22 +420,17 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 				// Not symmetric: auto mode serves it general.
 			case required || op.FootprintBytes() < op.BaselineBytes():
 				def = op
-			default:
-				// Evict the comparison's loser: it is unreachable once
-				// general storage is chosen and would otherwise hold a
-				// matrix-sized encoding for the entry's lifetime.
-				e.dropSymOperator(s.cfg.Threads)
 			}
 		}
 	}
 	if def == nil {
-		op, err := e.Operator(spmv.NaiveOptions(), s.cfg.Threads, &s.st)
+		op, err := s.compile(m, false, spmv.NaiveOptions())
 		if err != nil {
 			return err
 		}
 		def = op
 	}
-	sv, err := s.newServing(def)
+	sv, err := newServing(def)
 	if err != nil {
 		return err
 	}
@@ -443,22 +438,39 @@ func (s *Server) prepare(e *Entry, opts RegisterOptions) error {
 	return nil
 }
 
+// compile builds one operator over m at the configured thread count —
+// the symmetric encoding when sym is set, otherwise the general encoding
+// opts selects — and counts it in Stats.Compiles. Registration,
+// recompaction and re-tune candidates all compile through it.
+func (s *Server) compile(m *spmv.Matrix, sym bool, opts spmv.TuneOptions) (*spmv.Operator, error) {
+	var op *spmv.Operator
+	var err error
+	if sym {
+		op, err = spmv.CompileSymmetricParallel(m, s.cfg.Threads)
+	} else {
+		op, err = spmv.CompileParallel(m, opts, s.cfg.Threads, 1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.st.compiles.Add(1)
+	return op, nil
+}
+
 // newServing builds a width-1, generation-0 snapshot for a freshly
 // compiled default operator (registration or recompaction). Its traffic
 // is what the fused sweeps actually stream — the operator's own wide
 // views (WideTraffic), priced by the same model the re-tuner scores its
 // candidates with.
-func (s *Server) newServing(def *spmv.Operator) (*serving, error) {
-	sv := &serving{op: def, sym: def.Symmetric(), width: 1, roof: new(obs.Roofline)}
-	if !sv.sym {
-		sv.cacheKey = &opKey{opts: spmv.NaiveOptions(), threads: s.cfg.Threads}
-	}
+func newServing(def *spmv.Operator) (*serving, error) {
 	tr, err := def.WideTraffic(spmv.TrafficOptions{})
 	if err != nil {
 		return nil, err
 	}
-	sv.matrixBytes, sv.sourceBytes, sv.destBytes = tr.MatrixBytes, tr.SourceBytes, tr.DestBytes
-	return sv, nil
+	return &serving{
+		op: def, sym: def.Symmetric(), width: 1, roof: new(obs.Roofline),
+		matrixBytes: tr.MatrixBytes, sourceBytes: tr.SourceBytes, destBytes: tr.DestBytes,
+	}, nil
 }
 
 // Mul computes y = A·x for the registered matrix id as the default

@@ -64,55 +64,62 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
-func TestRegistryOperatorCache(t *testing.T) {
-	s := New(DefaultConfig())
+// TestRegistryCompileCount: Stats.Compiles counts every operator build —
+// one per registration, one per recompaction, one per evaluated re-tune
+// candidate — and serving itself compiles nothing.
+func TestRegistryCompileCount(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RecompactThreshold = -1 // recompact only on demand
+	cfg.RetuneMinRequests = 1
+	s := New(cfg)
 	defer s.Close()
 	m := testMatrix(t, 200, 200, 2000, 1)
 	if _, err := s.Register("a", "test", m); err != nil {
 		t.Fatal(err)
 	}
+	wantCompiles := func(stage string, want uint64) {
+		t.Helper()
+		if got := s.Stats().Compiles; got != want {
+			t.Fatalf("%s: %d compiles, want %d", stage, got, want)
+		}
+	}
+	wantCompiles("register", 1)
+
+	x := testVector(200, 2)
+	for i := 0; i < 4; i++ {
+		if _, err := s.Mul("a", x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantCompiles("serving", 1)
+
+	if _, err := s.Patch("a", mutDeltas(rand.New(rand.NewSource(3)), 200, 200, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Recompact("a"); err != nil {
+		t.Fatal(err)
+	}
+	wantCompiles("recompaction", 2)
+
+	// A drifted workload: the re-tuner evaluates one candidate.
 	e, err := s.Registry().Get("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st0 := s.Stats()
-	if st0.Compiles != 1 {
-		t.Fatalf("register ran %d compiles, want exactly 1 (compile once per matrix)", st0.Compiles)
+	for i := 0; i < 200; i++ {
+		e.work.record(8)
 	}
+	s.RetuneOnce()
+	if st := s.Stats(); st.RetuneEvals != 1 {
+		t.Fatalf("%d re-tune evaluations, want 1", st.RetuneEvals)
+	}
+	wantCompiles("re-tune candidate", 3)
 
-	// Same options + threads: cache hit, identical operator.
-	op1, err := e.Operator(spmv.NaiveOptions(), s.cfg.Threads, &s.st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op2, err := e.Operator(spmv.NaiveOptions(), s.cfg.Threads, &s.st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op1 != op2 {
-		t.Error("same (options, threads) returned distinct operators")
-	}
-	st := s.Stats()
-	if st.Compiles != 1 || st.CompileHits != st0.CompileHits+2 {
-		t.Errorf("compiles=%d hits=%d, want 1 compile and %d hits", st.Compiles, st.CompileHits, st0.CompileHits+2)
-	}
-
-	// Different options: a fresh compile.
-	op3, err := e.Operator(spmv.DefaultTuneOptions(), s.cfg.Threads, &s.st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op3 == op1 {
-		t.Error("different tune options returned the cached operator")
-	}
-	if got := s.Stats().Compiles; got != 2 {
-		t.Errorf("compiles=%d after second option set, want 2", got)
-	}
-
-	// Duplicate registration is rejected.
+	// Duplicate registration is rejected before compiling anything.
 	if _, err := s.Register("a", "test", m); err == nil {
 		t.Error("duplicate id accepted")
 	}
+	wantCompiles("duplicate registration", 3)
 }
 
 // TestBatcherFusesConcurrentRequests is the acceptance demonstration: 4

@@ -832,7 +832,6 @@ func addStats(dst *Stats, b Stats) {
 	}
 	dst.Registered += b.Registered
 	dst.Compiles += b.Compiles
-	dst.CompileHits += b.CompileHits
 	dst.MatrixBytes += b.MatrixBytes
 	dst.SourceBytes += b.SourceBytes
 	dst.DestBytes += b.DestBytes

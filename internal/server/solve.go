@@ -239,13 +239,9 @@ func (e *Entry) isSymmetricMatrix() bool {
 	if l != nil {
 		seq = l.Seq()
 	}
-	e.symMu.Lock()
 	if e.symChecked && e.symSeq == seq {
-		is := e.symIs
-		e.symMu.Unlock()
-		return is
+		return e.symIs
 	}
-	e.symMu.Unlock()
 	var is bool
 	if l == nil || seq == 0 {
 		is = e.m.IsSymmetric()
@@ -254,9 +250,7 @@ func (e *Entry) isSymmetricMatrix() bool {
 		l.Fold(func(i, j int32, v float64) { _ = fm.Set(int(i), int(j), v) })
 		is = fm.IsSymmetric()
 	}
-	e.symMu.Lock()
 	e.symChecked, e.symSeq, e.symIs = true, seq, is
-	e.symMu.Unlock()
 	return is
 }
 

@@ -1,12 +1,8 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	spmv "repro"
 )
@@ -30,7 +26,7 @@ type Transport interface {
 	// Mul computes y = A·x against a previously registered band.
 	Mul(id string, x []float64) ([]float64, error)
 	// Unregister tears down a previously registered band on the member,
-	// releasing its operator caches. Unknown ids are an error (the
+	// releasing its operator. Unknown ids are an error (the
 	// coordinator treats it as best-effort cleanup).
 	Unregister(id string) error
 	// Stats snapshots the member's serving counters for the cluster rollup.
@@ -38,7 +34,7 @@ type Transport interface {
 }
 
 // LocalTransport adapts an in-process Server to the Transport interface.
-// The member keeps its full serving stack — tuned-operator cache, adaptive
+// The member keeps its full serving stack — compiled operator, adaptive
 // batcher, sweep pool — so concurrent scattered sub-requests against one
 // band still coalesce into fused multi-RHS sweeps on the member.
 type LocalTransport struct {
@@ -75,13 +71,14 @@ func (t *LocalTransport) Unregister(id string) error {
 // Stats snapshots the member's counters.
 func (t *LocalTransport) Stats() (Stats, error) { return t.s.Stats(), nil }
 
-// HTTPTransport talks to a remote spmv-serve member over its v1 HTTP API.
-// Bands are shipped as inline MatrixMarket documents (written at %.17g, so
-// float64 values survive the wire bit-exactly and sharded results stay
-// bitwise identical to single-node serving).
+// HTTPTransport talks to a remote spmv-serve member over its v1 HTTP API
+// through an HTTPClient, so band ids are path-escaped and member errors
+// come back with the sentinels the member classified them with. Bands are
+// shipped as inline MatrixMarket documents (written at %.17g, so float64
+// values survive the wire bit-exactly and sharded results stay bitwise
+// identical to single-node serving).
 type HTTPTransport struct {
-	base string // e.g. "http://node3:8707", no trailing slash
-	c    *http.Client
+	hc *HTTPClient
 }
 
 // NewHTTPTransport returns a transport for the member at base (scheme and
@@ -91,49 +88,11 @@ type HTTPTransport struct {
 // machinery (which acts on returned errors) would never fire. Pass an
 // explicit client to tune the timeout, e.g. for very large band uploads.
 func NewHTTPTransport(base string, client *http.Client) *HTTPTransport {
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
-	return &HTTPTransport{base: strings.TrimRight(base, "/"), c: client}
+	return &HTTPTransport{hc: NewHTTPClient(base, client)}
 }
 
 // Name returns the member's base URL.
-func (t *HTTPTransport) Name() string { return t.base }
-
-func (t *HTTPTransport) post(path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	r, err := t.c.Post(t.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("server: member %s: %w", t.base, err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode >= 300 {
-		return t.memberError(r)
-	}
-	return json.NewDecoder(r.Body).Decode(resp)
-}
-
-// memberError rebuilds an error from one member error response, restoring
-// the sentinel the member's HTTP layer encoded as a status code, so the
-// coordinator's error classification does not depend on remote error
-// strings.
-func (t *HTTPTransport) memberError(r *http.Response) error {
-	detail := fmt.Sprintf("status %d", r.StatusCode)
-	var e errorResponse
-	if json.NewDecoder(r.Body).Decode(&e) == nil && e.Error.Message != "" {
-		detail = e.Error.Message
-	}
-	switch r.StatusCode {
-	case http.StatusNotFound:
-		return fmt.Errorf("%w: member %s: %s", ErrUnknownMatrix, t.base, detail)
-	case http.StatusConflict:
-		return fmt.Errorf("%w: member %s: %s", ErrAlreadyRegistered, t.base, detail)
-	}
-	return fmt.Errorf("server: member %s: %s", t.base, detail)
-}
+func (t *HTTPTransport) Name() string { return t.hc.base }
 
 // Register ships the band as MatrixMarket and registers it remotely,
 // pinned to general storage (see Transport.Register).
@@ -144,60 +103,26 @@ func (t *HTTPTransport) Register(id, name string, m *spmv.Matrix) (MatrixInfo, e
 	}
 	general := false
 	var info MatrixInfo
-	err := t.post("/v1/matrices", registerRequest{
+	err := t.hc.do(http.MethodPost, "/v1/matrices", registerRequest{
 		ID: id, Name: name, MatrixMarket: doc.String(), Symmetric: &general,
 	}, &info)
 	return info, err
 }
 
-// Mul posts x to the member's mul endpoint in the binary tier, so the
+// Mul multiplies against the member's band in the binary tier, so the
 // gathered band rows are the member's bits exactly.
 func (t *HTTPTransport) Mul(id string, x []float64) ([]float64, error) {
-	req, err := newBinaryMul(t.base+"/v1/matrices/"+id+"/mul", x)
-	if err != nil {
-		return nil, err
-	}
-	r, err := t.c.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("server: member %s: %w", t.base, err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode >= 300 {
-		return nil, t.memberError(r)
-	}
-	return readFloats(r)
+	return t.hc.MulOpts(id, x, MulOptions{})
 }
 
 // Unregister deletes the band on the remote member.
 func (t *HTTPTransport) Unregister(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, t.base+"/v1/matrices/"+id, nil)
-	if err != nil {
-		return err
-	}
-	r, err := t.c.Do(req)
-	if err != nil {
-		return fmt.Errorf("server: member %s: %w", t.base, err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode >= 300 {
-		return t.memberError(r)
-	}
-	return nil
+	_, err := t.hc.DeleteMatrix(id)
+	return err
 }
 
 // Stats fetches the member's counter snapshot.
 func (t *HTTPTransport) Stats() (Stats, error) {
-	r, err := t.c.Get(t.base + "/v1/stats")
-	if err != nil {
-		return Stats{}, fmt.Errorf("server: member %s: %w", t.base, err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return Stats{}, fmt.Errorf("server: member %s: stats status %d", t.base, r.StatusCode)
-	}
-	var st Stats
-	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
+	rep, err := t.hc.StatsReport()
+	return rep.Stats, err
 }

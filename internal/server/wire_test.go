@@ -188,3 +188,51 @@ func TestWireShardedGatherParity(t *testing.T) {
 		t.Errorf("cluster scattered %d band requests, want at least 6", st.Scatters)
 	}
 }
+
+// TestHTTPTransportEscapesIDs registers K=2 sharded matrices whose ids
+// need path escaping over HTTP members: every band request must reach
+// its band, so Mul matches single-node bits and Unregister succeeds.
+func TestHTTPTransportEscapesIDs(t *testing.T) {
+	m, err := spmv.GenerateSuite("LP", 0.01, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := New(DefaultConfig())
+	defer single.Close()
+	if _, err := single.Register("lp", "LP", m); err != nil {
+		t.Fatal(err)
+	}
+	_, cols := m.Dims()
+	x := randVec(cols, 4)
+	want, err := single.Mul("lp", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transports := make([]Transport, 2)
+	for i := range transports {
+		ms := New(DefaultConfig())
+		t.Cleanup(ms.Close)
+		mts := httptest.NewServer(ms.Handler())
+		t.Cleanup(mts.Close)
+		transports[i] = NewHTTPTransport(mts.URL, nil)
+	}
+	cluster, err := NewCluster(transports, ClusterConfig{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"q?x", "p%41", "a b"} {
+		if _, err := cluster.RegisterSharded(id, "LP", m, 2); err != nil {
+			t.Fatalf("%q: register: %v", id, err)
+		}
+		got, err := cluster.Mul(id, x)
+		if err != nil {
+			t.Fatalf("%q: mul: %v", id, err)
+		}
+		if !sameBits(got, want) {
+			t.Errorf("%q: sharded y differs from single-node", id)
+		}
+		if bands, err := cluster.Unregister(id); err != nil || bands != 2 {
+			t.Errorf("%q: unregister removed %d bands: %v", id, bands, err)
+		}
+	}
+}

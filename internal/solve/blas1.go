@@ -20,7 +20,9 @@
 // so solver trajectories are bit-reproducible across Threads settings
 // whenever Apply is too. In parallel (non-deterministic) mode each thread
 // sums one contiguous chunk and the chunk partials are added in chunk
-// order: fastest, but the bits shift with Threads.
+// order: fastest, but the bits shift with Threads. Dot, Axpy and Xpay
+// round every product (float64 conversions) before it is added, so no
+// architecture may fuse a multiply-add and move the bits off amd64's.
 package solve
 
 import (
@@ -148,7 +150,7 @@ func (b BLAS) Dot(x, y []float64) float64 {
 	return b.reduce(len(x), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
-			s += x[i] * y[i]
+			s += float64(x[i] * y[i])
 		}
 		return s
 	})
@@ -172,7 +174,7 @@ func (b BLAS) Axpy(alpha float64, x, y []float64) {
 	rs := ranges(len(x), b.threads())
 	runParts(len(rs), b.threads(), len(x), func(p int) {
 		for i := rs[p][0]; i < rs[p][1]; i++ {
-			y[i] += alpha * x[i]
+			y[i] += float64(alpha * x[i])
 		}
 	})
 }
@@ -188,7 +190,7 @@ func (b BLAS) Xpay(alpha float64, x, y []float64) {
 	rs := ranges(len(x), b.threads())
 	runParts(len(rs), b.threads(), len(x), func(p int) {
 		for i := rs[p][0]; i < rs[p][1]; i++ {
-			y[i] = x[i] + alpha*y[i]
+			y[i] = x[i] + float64(alpha*y[i])
 		}
 	})
 }

@@ -55,6 +55,8 @@ func NewPower(apply Apply, n int, v0 []float64, opt Options) (*Power, error) {
 			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			z ^= z >> 31
+			// arm64 fuses this scale-and-subtract, which cannot move
+			// bits: scaling a 53-bit integer by 2⁻⁵³ is exact.
 			p.q[i] = float64(z>>11)/float64(1<<53) - 0.5
 		}
 	}

@@ -12,18 +12,17 @@ import (
 	"repro/internal/traffic"
 )
 
-// servingOperator returns the general operator serving id: the server
-// keeps it in the entry's operator cache under the registration key
-// (NaiveOptions at the configured thread count), across recompactions.
-func servingOperator(t *testing.T, s *server.Server, id string, threads int) *spmv.Operator {
+// servingOperator returns the operator serving id: the one its serving
+// snapshot holds.
+func servingOperator(t *testing.T, s *server.Server, id string) *spmv.Operator {
 	t.Helper()
 	e, err := s.Registry().Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := e.Operator(spmv.NaiveOptions(), threads, nil)
-	if err != nil {
-		t.Fatal(err)
+	op := e.Operator()
+	if op == nil {
+		t.Fatalf("%s has no serving operator", id)
 	}
 	return op
 }
@@ -54,9 +53,9 @@ func TestServingNeverBuildsLazyCSR(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			op := servingOperator(t, s, "a", threads)
+			op := servingOperator(t, s, "a")
 			if info.Kernel != op.KernelName() || info.Footprint != op.FootprintBytes() || info.Shards != threads {
-				t.Fatalf("cached operator %q/%d is not the serving one (%+v)", op.KernelName(), op.FootprintBytes(), info)
+				t.Fatalf("serving operator %q/%d does not match the registration info (%+v)", op.KernelName(), op.FootprintBytes(), info)
 			}
 			check := func(stage string, op *spmv.Operator) {
 				t.Helper()
@@ -109,7 +108,7 @@ func TestServingNeverBuildsLazyCSR(t *testing.T) {
 			if err := s.Recompact("a"); err != nil {
 				t.Fatal(err)
 			}
-			folded := servingOperator(t, s, "a", threads)
+			folded := servingOperator(t, s, "a")
 			if folded == op || s.Matrices()[0].Generation != 1 {
 				t.Fatal("recompaction did not replace the serving operator")
 			}
